@@ -112,7 +112,6 @@ fn engine(per_group: usize, epochs: u64, faults: Option<FaultPlan>) -> FleetEngi
         .collect();
     eng.arrivals = arrivals;
     eng.data_plane = DataPlane::Surrogate;
-    eng.shards = GPUS.len();
     eng.autoscale = Some(AutoscaleConfig {
         eval_every_epochs: 2,
         min_active_per_group: (per_group / 3).max(1),
@@ -146,7 +145,6 @@ fn to_json(
     out.push_str(&format!("  \"servers\": {},\n", chaos.servers));
     out.push_str(&format!("  \"groups\": {},\n", eng.groups.len()));
     out.push_str(&format!("  \"epochs\": {},\n", chaos.epochs));
-    out.push_str(&format!("  \"shards\": {},\n", eng.shards));
     out.push_str(&format!("  \"seed\": {},\n", chaos.seed));
     out.push_str(&format!("  \"arrivals_offered\": {},\n", chaos.offered));
     out.push_str(&format!("  \"admitted\": {},\n", chaos.admitted));
@@ -224,17 +222,19 @@ fn main() {
     banner("Fleet engine under chaos: fault injection, recovery, goodput");
     let chaos_eng = engine(per_group, epochs, Some(chaos_plan()));
     println!(
-        "fleet: {} servers in {} GPU groups, {} epochs, {} shards, {} threads; fault-free twin alongside",
+        "fleet: {} servers in {} GPU groups, {} epochs, {} threads; fault-free twin alongside",
         chaos_eng.total_servers(),
         chaos_eng.groups.len(),
         epochs,
-        chaos_eng.shards,
         default_threads(),
     );
     let start = Instant::now();
-    let chaos = chaos_eng.run();
+    let chaos = chaos_eng.live().finish(default_threads()).0;
     let wall_ns = start.elapsed().as_nanos();
-    let plain = engine(per_group, epochs, None).run();
+    let plain = engine(per_group, epochs, None)
+        .live()
+        .finish(default_threads())
+        .0;
 
     assert!(chaos.non_finite_paths().is_empty(), "non-finite metrics");
     let dynamics = chaos.dynamics.as_ref().expect("dynamic engine");

@@ -1,5 +1,5 @@
 //! Fleet engine at scale: a heterogeneous 1000+-server fleet absorbing a
-//! million-plus session arrivals through the sharded online engine, with
+//! million-plus session arrivals through the online engine, with
 //! autoscaling, migration and backpressure all on and the surrogate data
 //! plane turning placements into FPS/RTT tails.
 //!
@@ -53,7 +53,6 @@ fn engine(per_group: usize, epochs: u64) -> FleetEngine {
         .collect();
     eng.arrivals = arrivals;
     eng.data_plane = DataPlane::Surrogate;
-    eng.shards = GPUS.len();
     eng.autoscale = Some(AutoscaleConfig {
         eval_every_epochs: 2,
         min_active_per_group: (per_group / 3).max(1),
@@ -80,7 +79,6 @@ fn to_json(report: &FleetReport, eng: &FleetEngine, full: bool, wall_ns: u128) -
         report.slots_per_server
     ));
     out.push_str(&format!("  \"epochs\": {},\n", report.epochs));
-    out.push_str(&format!("  \"shards\": {},\n", eng.shards));
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
     out.push_str(&format!("  \"arrivals_offered\": {},\n", report.offered));
     out.push_str(&format!("  \"admitted\": {},\n", report.admitted));
@@ -123,19 +121,18 @@ fn main() {
     } else {
         (30, (60 * measured_secs()).clamp(30, 600))
     };
-    banner("Fleet engine at scale: sharded online loop, dynamic policies");
+    banner("Fleet engine at scale: online event loop, dynamic policies");
     let eng = engine(per_group, epochs);
     println!(
-        "fleet: {} servers in {} GPU groups x {} slots, {} epochs, {} shards, {} threads",
+        "fleet: {} servers in {} GPU groups x {} slots, {} epochs, {} threads",
         eng.total_servers(),
         eng.groups.len(),
         eng.slots_per_server,
         epochs,
-        eng.shards,
         default_threads(),
     );
     let start = Instant::now();
-    let report = eng.run();
+    let report = eng.live().finish(default_threads()).0;
     let wall_ns = start.elapsed().as_nanos();
 
     assert!(report.non_finite_paths().is_empty(), "non-finite metrics");

@@ -27,7 +27,7 @@ use std::time::Instant;
 use pictor_apps::{AppId, HumanPolicy};
 use pictor_bench::fixtures::{assert_all_finite, conv_d_out, conv_fixture, lstm_d_h, lstm_fixture};
 use pictor_client::ic::{IcTrainConfig, IntelligentClient};
-use pictor_core::fleet::{FirstFit, FleetSpec, WorkloadMix};
+use pictor_core::fleet::{FirstFit, FleetEngine, FleetSpec, WorkloadMix};
 use pictor_ml::{Matrix, Scratch};
 use pictor_render::{CloudSystem, HumanDriver, SystemConfig};
 use pictor_sim::{SeedTree, SimDuration};
@@ -215,7 +215,7 @@ fn main() {
     )
     .epochs(fleet_epochs);
     let fleet_start = Instant::now();
-    let fleet_report = fleet_spec.run_with_threads(1);
+    let fleet_report = FleetEngine::from_spec(&fleet_spec).live().finish(1).0;
     let fleet_wall_ns = fleet_start.elapsed().as_nanos();
     let fleet_rate = fleet_report.session_epochs as f64 * 1e9 / fleet_wall_ns.max(1) as f64;
     rows.push(Row {

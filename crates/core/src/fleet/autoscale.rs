@@ -1,11 +1,10 @@
 //! Dynamic-policy configuration for the online fleet engine: autoscaling,
 //! session migration, and admission backpressure.
 //!
-//! These are knobs the epoch replay cannot express — replay fixes the
-//! server set and rejects on full — and they are what make the online
-//! engine an *operations* model rather than a re-run of the schedule.
-//! Leaving all three unconfigured makes [`FleetEngine`](super::FleetEngine)
-//! reproduce replay byte for byte.
+//! These are what make the engine an *operations* model rather than a
+//! fixed server set that rejects on full. Leaving all three unconfigured
+//! runs [`FleetEngine`](super::FleetEngine) as a static fleet, the shape
+//! [`FleetSpec`](super::FleetSpec) declares.
 
 /// Utilization-driven autoscaling of a server group.
 ///

@@ -1,38 +1,36 @@
-//! The event-driven online fleet engine.
+//! The event-driven fleet engine: the one way a fleet runs.
 //!
-//! Where the epoch replay materializes a whole-horizon schedule up front,
-//! [`FleetEngine`] runs the fleet *online*: arrival, departure, warm-up and
-//! epoch-tick events flow through per-server-group shards of pooled
-//! [`EventQueue`](pictor_sim::EventQueue)s ([`ShardedQueues`]), merged
-//! deterministically in (time, shard, insertion) order. That structure is
-//! what lets it scale to 1000+ heterogeneous servers and millions of
-//! session arrivals, and what admits the dynamic policies replay cannot
-//! express — utilization-driven autoscaling with warm-up lag, migration of
+//! [`FleetEngine::live`] opens a run and [`LiveFleet::finish`] seals it.
+//! In between, arrival requests (an open Poisson stream, pre-drawn
+//! closed-loop client joins, and dynamic rejoins, retries and recovery
+//! re-offers) interleave with one pooled [`EventQueue`] of departures,
+//! warm-ups and autoscale ticks, ordered by time and then insertion. That
+//! structure is what lets the engine scale to 1000+ heterogeneous servers
+//! and millions of session arrivals, and what admits the dynamic policies
+//! — utilization-driven autoscaling with warm-up lag, migration of
 //! sessions off contended servers, and admission backpressure with a
 //! bounded retry queue (see [`autoscale`](super::autoscale)).
 //!
-//! # Equivalence with replay
+//! # Execution model
 //!
-//! With a single group, one shard, no dynamic policies and the
-//! [`DataPlane::Simulated`] plane, the engine is *provably* the same
-//! process as [`FleetSpec::run`]:
+//! * Arrivals pop in (time, class, generation) order, each drawing its
+//!   app and duration from a named `SeedTree` stream, and are quantized to
+//!   whole epochs: a session occupies `[start_epoch, end_epoch)`.
+//! * A request is placed at its *effective* time (`start_epoch × epoch`):
+//!   every departure and tick at or before that boundary lands first, so
+//!   placement sees exactly the sessions resident at the start epoch, and
+//!   the critical-point span check ([`fits_span`](EngineState::fits_span))
+//!   equals a per-epoch scan of the candidate's whole span.
+//! * [`LiveFleet::finish`] carves every server's occupancy timeline into
+//!   maximal intervals with an unchanged session set (cut at fault edges),
+//!   runs the data plane over them in parallel, and reduces the results in
+//!   server-major order, so the report is byte-identical for any thread
+//!   count.
 //!
-//! * the three-way arrival merge (open Poisson stream, pre-drawn client
-//!   joins, dynamic rejoins/retries) pops requests in exactly replay's
-//!   (time, heap-sequence) order, with identical RNG draw sequences;
-//! * placement sees identical [`ServerLoad`] snapshots, because arrivals
-//!   interleave with shard events at their *effective* time (`start_epoch ×
-//!   epoch`): every departure and tick at or before that boundary lands
-//!   first, and all previously admitted sessions start at or before the
-//!   candidate's epoch, so the critical-point span check
-//!   ([`fits_span`](EngineState::fits_span)) equals replay's whole-span
-//!   per-epoch scan;
-//! * the occupancy carve, job order, seed names and reduction stream are
-//!   replay's own ([`simulate_interval`]).
-//!
-//! `tests/fleet_engine_differential.rs` holds the byte-for-byte proof
-//! obligation; `tests/fleet_engine_determinism.rs` pins the thread × shard
-//! matrix.
+//! `tests/golden/fleet_sweep.json` pins static [`FleetSpec`] cells on the
+//! simulated data plane; `tests/fleet_engine_determinism.rs` pins a
+//! dynamic heterogeneous probe across thread counts and against
+//! `tests/golden/fleet_engine.json`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -41,15 +39,14 @@ use std::sync::Arc;
 use pictor_apps::App;
 use pictor_hw::{GpuModel, ServerSpec};
 use pictor_render::contention::contention_states;
-use pictor_render::SystemConfig;
+use pictor_render::{CloudSystem, HumanDriver, SystemConfig};
 use pictor_sim::rng::exponential;
-use pictor_sim::{EventId, SeedTree, ShardedQueues, SimDuration, SimTime, TailQuantiles};
+use pictor_sim::{EventId, EventQueue, SeedTree, SimDuration, SimTime, TailQuantiles};
 
-use crate::suite::default_threads;
+use crate::tracker::InputTracker;
 
 use super::faults::{FaultKind, FaultPlan, Health};
 use super::policy::VictimCandidate;
-use super::replay::{simulate_interval, IntervalResult};
 use super::report::{
     AutoscaleStats, BackpressureStats, FaultStats, FleetDynamics, FleetReport, MigrationStats,
 };
@@ -64,8 +61,7 @@ use super::{
 
 /// A homogeneous slice of the fleet: `servers` machines sharing one
 /// [`SystemConfig`]. Groups are the unit of heterogeneity (GPU model per
-/// group), sharding (one event shard per group, folded modulo the shard
-/// count) and autoscaling (watermarks evaluated per group).
+/// group) and autoscaling (watermarks evaluated per group).
 #[derive(Clone)]
 pub struct GroupSpec {
     /// Group label (reports and debugging).
@@ -103,8 +99,9 @@ impl GroupSpec {
 /// How the engine turns placed sessions into FPS/RTT samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataPlane {
-    /// Full `CloudSystem` simulation per occupancy interval — replay's own
-    /// kernel ([`simulate_interval`]), byte-compatible with it.
+    /// Full `CloudSystem` simulation per occupancy interval: warm-up, then
+    /// one measured window per epoch, with RTTs tracked across the whole
+    /// interval.
     Simulated,
     /// Closed-form analytic plane from the paper's contention model:
     /// per-interval [`contention_states`] feed FPS and pipeline-sum RTT
@@ -134,7 +131,7 @@ pub enum Admission {
     /// later on its own (the caller must not re-offer).
     Parked,
     /// The arrival's start epoch lies at or past the horizon: dropped
-    /// silently, exactly like replay's past-horizon requests.
+    /// silently, with no offer and no RNG draws.
     PastHorizon,
 }
 
@@ -204,9 +201,9 @@ pub struct FleetAudit {
     pub lost: u64,
 }
 
-/// The online fleet runner. See the module docs for the execution model;
-/// [`FleetEngine::from_spec`] builds the configuration that reproduces a
-/// [`FleetSpec`] exactly.
+/// The fleet runner. See the module docs for the execution model;
+/// [`FleetEngine::from_spec`] builds the configuration for a
+/// [`FleetSpec`], and [`FleetEngine::live`] runs it.
 ///
 /// Cloning is cheap-ish (configs and an `Arc`'d policy) and is how the
 /// serving layer partitions a fleet into independent core shards
@@ -235,9 +232,6 @@ pub struct FleetEngine {
     pub warmup: SimDuration,
     /// Master seed.
     pub seed: u64,
-    /// Event shard count (groups fold onto shards modulo this). Reports
-    /// are byte-identical for any value ≥ 1.
-    pub shards: usize,
     /// FPS/RTT sample source.
     pub data_plane: DataPlane,
     /// Utilization-driven per-group autoscaling.
@@ -253,9 +247,8 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// The engine configuration equivalent to `spec`: one group, one
-    /// shard, simulated data plane, no dynamic policies. Running it
-    /// reproduces `spec.run()` byte for byte.
+    /// The engine configuration for `spec`: one group, simulated data
+    /// plane, no dynamic policies.
     pub fn from_spec(spec: &FleetSpec) -> Self {
         FleetEngine {
             groups: vec![GroupSpec::new(
@@ -272,7 +265,6 @@ impl FleetEngine {
             epochs: spec.epochs,
             warmup: spec.warmup,
             seed: spec.seed,
-            shards: 1,
             data_plane: DataPlane::Simulated,
             autoscale: None,
             migration: None,
@@ -286,48 +278,23 @@ impl FleetEngine {
         self.groups.iter().map(|g| g.servers).sum()
     }
 
-    /// Runs on `PICTOR_THREADS` OS threads (default: available
-    /// parallelism).
-    pub fn run(&self) -> FleetReport {
-        self.run_with_threads(default_threads())
-    }
-
-    /// Runs on exactly `threads` OS threads.
-    pub fn run_with_threads(&self, threads: usize) -> FleetReport {
-        self.run_audited(threads).0
-    }
-
-    /// Runs and also returns the invariant-checking audit trace.
+    /// Opens a run. The caller may feed arrivals one at a time
+    /// ([`LiveFleet::offer_arrival`]) and step the epoch clock
+    /// ([`LiveFleet::step_to`]) — the interface a long-running serving
+    /// daemon needs — and seals it with [`LiveFleet::finish`], which on its
+    /// own runs the whole fleet to the horizon. Internal arrival streams
+    /// (open Poisson, closed clients, parked retries, fault-recovery
+    /// re-offers) always fire: they are drained up to each offered
+    /// timestamp, internal-before-external at equal times, so a run that
+    /// offers the same external arrivals at the same times is
+    /// deterministic.
     ///
     /// # Panics
     ///
-    /// Panics if `threads`, `shards`, the group list, any group size,
-    /// `slots_per_server`, `epochs` or the epoch length is zero, or a
-    /// dynamic-policy config fails validation.
-    pub fn run_audited(&self, threads: usize) -> (FleetReport, FleetAudit) {
-        assert!(threads > 0, "need at least one thread");
-        // The one-shot run is the incremental API driven to exhaustion:
-        // `finish` drains the internal arrival source through the same
-        // per-request step `run()` always used, so the two are the same
-        // process byte for byte (tests/fleet_engine_differential.rs).
-        self.live().finish(threads)
-    }
-
-    /// Opens the fleet for **incremental** driving: the caller feeds
-    /// arrivals one at a time ([`LiveFleet::offer_arrival`]) and steps the
-    /// epoch clock externally ([`LiveFleet::step_to`]) instead of `run()`
-    /// owning the loop — the interface a long-running serving daemon needs.
-    /// Internal arrival streams (open Poisson, closed clients, parked
-    /// retries, fault-recovery re-offers) still fire: they are drained up
-    /// to each offered timestamp, internal-before-external at equal times,
-    /// so a run that offers the same external arrivals at the same times
-    /// is deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same validation failures as [`FleetEngine::run_audited`].
+    /// Panics if the group list, any group size, `slots_per_server`,
+    /// `epochs` or the epoch length is zero, or a dynamic-policy config or
+    /// the fault plan fails validation.
     pub fn live(&self) -> LiveFleet<'_> {
-        assert!(self.shards > 0, "need at least one shard");
         assert!(!self.groups.is_empty(), "fleet needs at least one group");
         assert!(
             self.groups.iter().all(|g| g.servers > 0),
@@ -397,8 +364,8 @@ pub struct FleetSnapshot {
 ///
 /// The caller owns the clock: every [`offer_arrival`](Self::offer_arrival)
 /// and [`step_to`](Self::step_to) carries a nanosecond timestamp that must
-/// be nondecreasing, and [`finish`](Self::finish) runs the data plane and
-/// closes the books exactly as `run()` does.
+/// be nondecreasing, and [`finish`](Self::finish) runs the rest of the
+/// horizon and the data plane and closes the books.
 pub struct LiveFleet<'a> {
     st: EngineState<'a>,
     last_ns: u64,
@@ -420,7 +387,7 @@ impl<'a> LiveFleet<'a> {
     /// Offers one external arrival at `at_ns`: `app` for `duration_ns` of
     /// service. Internal arrivals due at or before `at_ns` are processed
     /// first (internal-before-external at equal times), then this request
-    /// runs the same admission step `run()` uses.
+    /// runs the same admission step internal arrivals use.
     ///
     /// # Panics
     ///
@@ -496,7 +463,8 @@ impl<'a> LiveFleet<'a> {
     /// Telemetry estimates for every session resident on `server` at
     /// `epoch`, in session-id order — the surrogate closed-form evaluated
     /// against the server's committed occupancy, so it is a pure function
-    /// of the control-plane state (replay reproduces it byte for byte).
+    /// of the control-plane state (journal replay reproduces it byte for
+    /// byte).
     pub fn server_telemetry(&self, server: usize, epoch: u64) -> Vec<SessionTelemetry> {
         let Some(srv) = self.st.srv.get(server) else {
             return Vec::new();
@@ -533,8 +501,9 @@ impl<'a> LiveFleet<'a> {
     }
 
     /// Seals the run: drains every remaining internal arrival, advances to
-    /// the horizon, runs the data plane and reduces the report — the same
-    /// closing sequence as `run()`.
+    /// the horizon, runs the data plane on `threads` OS threads and reduces
+    /// the report and its audit trace. The result is byte-identical for any
+    /// `threads >= 1`.
     ///
     /// # Panics
     ///
@@ -552,12 +521,10 @@ impl<'a> LiveFleet<'a> {
 // control plane
 // ---------------------------------------------------------------------------
 
-/// Events flowing through the per-group shards. Everything order-sensitive
-/// between same-time events is intra-group, and a group's events live on
-/// exactly one shard where insertion order breaks ties — which is why the
-/// report cannot depend on the shard count.
+/// Events flowing through the engine's queue, ordered by time and then
+/// insertion.
 #[derive(Debug, Clone, Copy)]
-enum ShardEvent {
+enum FleetEvent {
     /// A session segment leaves its server at `end_epoch × epoch`.
     Departure { server: usize, seg: u32 },
     /// Per-group autoscale evaluation (the epoch is the event time).
@@ -640,9 +607,8 @@ struct Request {
     resume: Option<Resume>,
 }
 
-/// A materialized fault operation, processed from the main-loop fault heap
-/// at its epoch (never on a shard — cross-group effects must not depend on
-/// the shard count).
+/// A materialized fault operation, processed from the fault heap at its
+/// epoch, after the boundary's queued events and before migration.
 #[derive(Debug, Clone, Copy)]
 enum FaultOp {
     /// Begin a notified crash: `Draining` now, down after `drain_epochs`.
@@ -675,10 +641,9 @@ enum FaultOp {
     },
 }
 
-/// The three-way arrival merge. Classes replicate replay's heap-sequence
-/// ordering at equal times: all open arrivals were pushed before all
-/// client joins, which precede every dynamically pushed rejoin/retry; and
-/// within each class, generation order is push order.
+/// The three-way arrival merge, ordered by time, then class, then
+/// generation order: at equal times open arrivals precede client first
+/// joins, which precede every dynamically pushed rejoin/retry.
 struct ArrivalSource {
     open_rng: Option<rand::rngs::SmallRng>,
     open_mean_gap_ns: f64,
@@ -722,7 +687,7 @@ impl ArrivalSource {
     }
 
     /// Draws the next open arrival lazily — one (gap, app, secs) triple per
-    /// call, exactly replay's per-arrival draw sequence.
+    /// call.
     fn advance_open(&mut self) {
         self.open_next = None;
         let Some(rng) = self.open_rng.as_mut() else {
@@ -820,9 +785,8 @@ struct EngineState<'a> {
     tree: SeedTree,
     srv: Vec<Srv>,
     group_range: Vec<(usize, usize)>,
-    shard_of_group: Vec<usize>,
     segs: Vec<Seg>,
-    shards: ShardedQueues<ShardEvent>,
+    events: EventQueue<FleetEvent>,
     source: ArrivalSource,
     client_rngs: Vec<rand::rngs::SmallRng>,
     /// Active servers with a free slot at the current epoch — an exact
@@ -852,7 +816,6 @@ struct EngineState<'a> {
     shrink_events: u64,
     min_active: usize,
     max_active: usize,
-    event_drain: Vec<(SimTime, usize, ShardEvent)>,
     /// The normalized fault plan: `None` when unset *or empty*, so every
     /// fault branch below is cold on a fault-free run.
     faults: Option<&'a FaultPlan>,
@@ -877,7 +840,6 @@ impl<'a> EngineState<'a> {
         let eps = eng.epoch.as_nanos();
         let horizon_ns = eps.saturating_mul(eng.epochs);
         let tree = SeedTree::new(eng.seed);
-        let shard_count = eng.shards.min(eng.groups.len());
         let mut srv = Vec::with_capacity(eng.total_servers());
         let mut group_range = Vec::with_capacity(eng.groups.len());
         for (g, group) in eng.groups.iter().enumerate() {
@@ -918,22 +880,20 @@ impl<'a> EngineState<'a> {
             .map(|(i, _)| i)
             .collect();
         let total = srv.len();
-        let mut shards = ShardedQueues::new(shard_count);
-        let shard_of_group: Vec<usize> = (0..eng.groups.len()).map(|g| g % shard_count).collect();
+        let mut events = EventQueue::new();
         // Seed the per-group autoscale ticks.
         if let Some(a) = &eng.autoscale {
             if a.eval_every_epochs < eng.epochs {
-                for (g, &shard) in shard_of_group.iter().enumerate() {
-                    shards.schedule(
-                        shard,
+                for group in 0..eng.groups.len() {
+                    events.schedule(
                         SimTime::from_nanos(a.eval_every_epochs.saturating_mul(eps)),
-                        ShardEvent::GroupTick { group: g },
+                        FleetEvent::GroupTick { group },
                     );
                 }
             }
         }
-        // Pre-draw client first joins, in client order (replay's push
-        // order), then sort stably by time so equal-time joins keep it.
+        // Pre-draw client first joins in client order, then sort stably by
+        // time so equal-time joins keep it.
         let closed = eng.arrivals.closed_clients * total;
         let mut client_rngs: Vec<_> = (0..closed)
             .map(|c| tree.stream_indexed("client-", c as u64))
@@ -952,7 +912,7 @@ impl<'a> EngineState<'a> {
         source.joins.sort_by_key(|j| j.0);
         // Normalize the fault plan (empty ⇒ None) and materialize its
         // injection schedule up front: the heap is a pure function of
-        // (plan, seed, fleet shape), independent of threads and shards.
+        // (plan, seed, fleet shape), independent of threads.
         let faults = eng.faults.as_ref().filter(|p| !p.is_empty());
         let mut fault_heap = BinaryHeap::new();
         let mut fault_payload: Vec<(usize, FaultOp)> = Vec::new();
@@ -1006,9 +966,8 @@ impl<'a> EngineState<'a> {
             tree,
             srv,
             group_range,
-            shard_of_group,
             segs: Vec::new(),
-            shards,
+            events,
             source,
             client_rngs,
             free_now,
@@ -1032,7 +991,6 @@ impl<'a> EngineState<'a> {
             shrink_events: 0,
             min_active: active_count,
             max_active: active_count,
-            event_drain: Vec::new(),
             faults,
             fault_heap,
             fault_payload,
@@ -1056,7 +1014,7 @@ impl<'a> EngineState<'a> {
     /// Span feasibility at the candidate's critical points: its own start
     /// plus every live-segment start inside the span. Occupancy only
     /// *rises* at segment starts, so its span maximum is attained at one
-    /// of them — this equals replay's per-epoch whole-span scan.
+    /// of them — this equals a per-epoch scan of the whole span.
     fn fits_span(&self, i: usize, start: u64, end: u64, need_mib: u64) -> bool {
         let srv = &self.srv[i];
         if !srv.serving() {
@@ -1085,8 +1043,8 @@ impl<'a> EngineState<'a> {
         })
     }
 
-    /// Replay-shaped load snapshots for every server (the slow path for
-    /// policies that inspect the whole fleet).
+    /// Load snapshots for every server at the candidate's start epoch (the
+    /// slow path for policies that inspect the whole fleet).
     fn loads(&self, app: &App, start: u64, end: u64) -> Vec<ServerLoad> {
         let need_mib = app.profile.gpu_memory_mib;
         (0..self.srv.len())
@@ -1127,7 +1085,7 @@ impl<'a> EngineState<'a> {
     // -- event handling ---------------------------------------------------
 
     /// Advances the boundary clock to `target`, processing each epoch's
-    /// shard events (merged (time, shard, insertion)) and then its
+    /// queued events in (time, insertion) order, then its faults and its
     /// migration step, one epoch at a time — so every decision at epoch
     /// `e` sees exactly the departures and ticks at or before `e × epoch`,
     /// never future state.
@@ -1147,23 +1105,14 @@ impl<'a> EngineState<'a> {
                 }
             }
             let deadline = SimTime::from_nanos(e.saturating_mul(self.eps));
-            loop {
-                let mut drained = std::mem::take(&mut self.event_drain);
-                drained.clear();
-                if self.shards.drain_until(deadline, &mut drained) == 0 {
-                    self.event_drain = drained;
-                    break;
-                }
-                // Handlers may schedule new events at the same boundary
-                // (warm-up 0, tick cascades), so keep draining until quiet.
-                for &(time, _, ev) in &drained {
-                    self.handle_event(time, ev);
-                }
-                self.event_drain = drained;
+            // Handlers may schedule new events at the same boundary
+            // (warm-up 0); they pop here too, after the earlier ones.
+            while self.events.peek_time().is_some_and(|t| t <= deadline) {
+                let (time, ev) = self.events.pop().expect("peeked event");
+                self.handle_event(time, ev);
             }
-            // Faults fire on the main loop after the boundary's shard
-            // events and before migration — cross-group effects (orphan
-            // parking, eviction) stay shard- and thread-invariant.
+            // Faults fire after the boundary's queued events and before
+            // migration.
             if self.faults.is_some() {
                 self.fault_step(e);
             }
@@ -1174,20 +1123,20 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    fn handle_event(&mut self, time: SimTime, ev: ShardEvent) {
+    fn handle_event(&mut self, time: SimTime, ev: FleetEvent) {
         match ev {
-            ShardEvent::Departure { server, seg } => {
+            FleetEvent::Departure { server, seg } => {
                 self.srv[server].live.retain(|&si| si != seg);
                 self.resident[server] -= 1;
                 self.set_free(server);
             }
-            ShardEvent::Warm { server } => {
+            FleetEvent::Warm { server } => {
                 let e = time.as_nanos() / self.eps;
                 self.srv[server].status = Status::Active;
                 self.srv[server].activity.push((e, u64::MAX));
                 self.set_free(server);
             }
-            ShardEvent::GroupTick { group } => self.group_tick(group, time),
+            FleetEvent::GroupTick { group } => self.group_tick(group, time),
         }
     }
 
@@ -1219,10 +1168,9 @@ impl<'a> EngineState<'a> {
             if warm_epoch < self.eng.epochs {
                 if let Some(spare) = (lo..hi).find(|&i| self.srv[i].status == Status::Inactive) {
                     self.srv[spare].status = Status::Warming;
-                    self.shards.schedule(
-                        self.shard_of_group[group],
+                    self.events.schedule(
                         SimTime::from_nanos(warm_epoch.saturating_mul(self.eps)),
-                        ShardEvent::Warm { server: spare },
+                        FleetEvent::Warm { server: spare },
                     );
                     self.grow_events += 1;
                 }
@@ -1244,16 +1192,15 @@ impl<'a> EngineState<'a> {
         self.max_active = self.max_active.max(total_active);
         let next = e + cfg.eval_every_epochs;
         if next < self.eng.epochs {
-            self.shards.schedule(
-                self.shard_of_group[group],
+            self.events.schedule(
                 SimTime::from_nanos(next.saturating_mul(self.eps)),
-                ShardEvent::GroupTick { group },
+                FleetEvent::GroupTick { group },
             );
         }
     }
 
-    /// One migration evaluation at boundary `e` (main loop, not a shard
-    /// event, so its cross-group reads cannot depend on shard count).
+    /// One migration evaluation at boundary `e`, after the boundary's
+    /// events and faults.
     fn migrate(&mut self, e: u64) {
         let threshold = self
             .eng
@@ -1305,16 +1252,14 @@ impl<'a> EngineState<'a> {
             seg.end = e;
             (seg.session, seg.app.clone(), old_end, seg.departure)
         };
-        self.shards
-            .cancel(self.shard_of_group[self.srv[src].group], old_departure);
+        self.events.cancel(old_departure);
         self.srv[src].live.retain(|&si| si != cand_si);
         self.resident[src] -= 1;
         self.set_free(src);
         let new_si = self.segs.len() as u32;
-        let departure = self.shards.schedule(
-            self.shard_of_group[self.srv[tgt].group],
+        let departure = self.events.schedule(
             SimTime::from_nanos(old_end.saturating_mul(self.eps)),
-            ShardEvent::Departure {
+            FleetEvent::Departure {
                 server: tgt,
                 seg: new_si,
             },
@@ -1546,8 +1491,7 @@ impl<'a> EngineState<'a> {
                 seg.app.clone(),
             )
         };
-        self.shards
-            .cancel(self.shard_of_group[self.srv[server].group], departure);
+        self.events.cancel(departure);
         if start <= e {
             self.segs[si as usize].end = e;
             self.resident[server] -= 1;
@@ -1672,9 +1616,8 @@ impl<'a> EngineState<'a> {
 
     /// Offers one request to the control plane at time `t`: advances the
     /// boundary clock, runs placement, and admits, parks or rejects. This
-    /// is the whole per-arrival step of the online loop — `run()` drives it
-    /// from the internal [`ArrivalSource`], [`LiveFleet`] from external
-    /// callers — so both paths are the same code byte for byte.
+    /// is the whole per-arrival step: [`LiveFleet`] runs it for internal
+    /// arrivals from the [`ArrivalSource`] and for external ones alike.
     fn process_request(&mut self, t: u64, req: Request) -> Admission {
         let start = t.div_ceil(self.eps);
         if start >= self.eng.epochs {
@@ -1685,8 +1628,7 @@ impl<'a> EngineState<'a> {
                     None => self.expired += 1,
                 }
             }
-            // Mirrors replay: past-horizon requests vanish silently —
-            // no offer, no draws.
+            // Past-horizon requests vanish silently — no offer, no draws.
             return Admission::PastHorizon;
         }
         self.advance_to(start);
@@ -1725,7 +1667,7 @@ impl<'a> EngineState<'a> {
         };
         match choice {
             Some(server) => {
-                let session = self.admit(server, start, end, t, req);
+                let session = self.admit(server, start, end, req);
                 Admission::Admitted {
                     session,
                     server,
@@ -1737,7 +1679,7 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    fn admit(&mut self, server: usize, start: u64, end: u64, _t: u64, req: Request) -> u64 {
+    fn admit(&mut self, server: usize, start: u64, end: u64, req: Request) -> u64 {
         let id = match req.resume {
             Some(r) => {
                 // A recovered session keeps its identity; its new segment
@@ -1753,10 +1695,9 @@ impl<'a> EngineState<'a> {
             }
         };
         let si = self.segs.len() as u32;
-        let departure = self.shards.schedule(
-            self.shard_of_group[self.srv[server].group],
+        let departure = self.events.schedule(
             SimTime::from_nanos(end.saturating_mul(self.eps)),
-            ShardEvent::Departure { server, seg: si },
+            FleetEvent::Departure { server, seg: si },
         );
         self.segs.push(Seg {
             session: id,
@@ -1934,12 +1875,11 @@ impl<'a> EngineState<'a> {
         let mut tracked_inputs = 0u64;
 
         // Carve each server's timeline into maximal constant-set
-        // occupancy intervals (replay's partition) and run the data plane
-        // over server chunks: job order — hence the reduction stream and
-        // the P² states — is server-major regardless of chunking, threads
-        // or shards. Fault cuts (degradation steps and brownout edges)
-        // force interval boundaries so each job sees one capacity and one
-        // network impairment.
+        // occupancy intervals and run the data plane over server chunks:
+        // job order — hence the reduction stream and the P² states — is
+        // server-major regardless of chunking or threads. Fault cuts
+        // (degradation steps and brownout edges) force interval boundaries
+        // so each job sees one capacity and one network impairment.
         struct Job {
             server: usize,
             start: u64,
@@ -2187,8 +2127,73 @@ impl<'a> EngineState<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// surrogate data plane
+// data planes
 // ---------------------------------------------------------------------------
+
+/// Measurements of one server interval.
+struct IntervalResult {
+    /// `fps[e][s]`: server FPS of session `s` (instance order: session id
+    /// ascending) during the interval's `e`-th epoch.
+    fps: Vec<Vec<f64>>,
+    /// `rtt_ms[s]`: every RTT tracked for session `s` across the whole
+    /// interval, ms (same instance order).
+    rtt_ms: Vec<Vec<f64>>,
+}
+
+/// Simulates one server interval: warm-up, then one counter window per
+/// epoch through `reset_accounting`/`drain_records`. Records accumulate
+/// across the interval and the input tracker runs once at its end, so an
+/// input sent late in one epoch and answered early in the next still
+/// contributes its RTT — tail latencies are censored only where the
+/// session set actually changes, not at every epoch boundary.
+///
+/// Seeds derive from names (`server-{s}/e{start_epoch}`, sessions by id),
+/// never from execution order, and the instance order is session id
+/// ascending — so the result depends only on (config, tree, server,
+/// interval, session set), never on thread count or job order.
+#[allow(clippy::too_many_arguments)]
+fn simulate_interval(
+    config: &SystemConfig,
+    tree: &SeedTree,
+    server: usize,
+    start_epoch: u64,
+    end_epoch: u64,
+    sessions: &[(u64, &App)],
+    warmup: SimDuration,
+    epoch: SimDuration,
+) -> IntervalResult {
+    let interval_seeds = tree.child_indexed2("server-", server as u64, "/e", start_epoch);
+    let mut sys = CloudSystem::new(config.clone(), interval_seeds);
+    // Instance order: session id ascending — stable across policies and
+    // independent of occupancy bookkeeping internals.
+    let mut by_id: Vec<&(u64, &App)> = sessions.iter().collect();
+    by_id.sort_by_key(|(id, _)| *id);
+    for &&(id, app) in &by_id {
+        let seeds = interval_seeds.child_indexed("session-", id);
+        sys.add_instance(app, Box::new(HumanDriver::from_seeds(app, &seeds)));
+    }
+    sys.start();
+    sys.run_for(warmup);
+    sys.reset_accounting();
+    let mut fps = Vec::with_capacity((end_epoch - start_epoch) as usize);
+    let mut records = Vec::new();
+    for _ in start_epoch..end_epoch {
+        sys.run_for(epoch);
+        sys.drain_records_into(&mut records);
+        fps.push(sys.reports().iter().map(|r| r.server_fps).collect());
+        sys.reset_accounting();
+    }
+    let tracks = InputTracker::new().analyze(&records);
+    let rtt_ms = (0..by_id.len())
+        .map(|i| {
+            tracks
+                .get(&(i as u32))
+                .map(|t| t.rtt_ms.samples().to_vec())
+                .unwrap_or_default()
+        })
+        .collect();
+    IntervalResult { fps, rtt_ms }
+}
 
 /// SplitMix64 — the deterministic jitter source for surrogate RTT samples.
 fn mix64(mut x: u64) -> u64 {
@@ -2202,7 +2207,7 @@ fn mix64(mut x: u64) -> u64 {
 /// interval, FPS from the slower of the contended CPU and GPU stages, RTT
 /// as the pipeline sum with instance-count IPC inflation, two
 /// hash-jittered samples per session-epoch. Pure in (config, seed, server,
-/// interval, session set) — thread- and shard-invariant by construction.
+/// interval, session set) — thread-invariant by construction.
 fn surrogate_interval(
     config: &SystemConfig,
     seed: u64,
@@ -2259,7 +2264,7 @@ fn surrogate_interval(
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{mix, tiny_spec};
+    use super::super::tests::mix;
     use super::*;
     use super::{DataPlane, FleetEngine, GroupSpec};
 
@@ -2277,46 +2282,59 @@ mod tests {
     }
 
     #[test]
-    fn static_engine_matches_replay_metrics() {
-        let spec = tiny_spec(Arc::new(super::super::FirstFit));
-        let replay = spec.run_with_threads(2);
-        let engine = FleetEngine::from_spec(&spec).run_with_threads(2);
-        assert_eq!(replay.metrics(), engine.metrics());
-        assert!(engine.dynamics.is_none());
-    }
-
-    #[test]
-    fn static_engine_matches_replay_for_fleetwide_policies() {
-        let spec = tiny_spec(Arc::new(super::super::LeastContended));
-        assert_eq!(
-            spec.run_with_threads(1).metrics(),
-            FleetEngine::from_spec(&spec).run_with_threads(1).metrics()
-        );
-    }
-
-    #[test]
     fn surrogate_plane_is_deterministic_and_finite() {
-        let a = surrogate_engine(Arc::new(super::super::FirstFit)).run_with_threads(2);
-        let b = surrogate_engine(Arc::new(super::super::FirstFit)).run_with_threads(4);
+        let a = surrogate_engine(Arc::new(super::super::FirstFit))
+            .live()
+            .finish(2)
+            .0;
+        let b = surrogate_engine(Arc::new(super::super::FirstFit))
+            .live()
+            .finish(4)
+            .0;
         assert_eq!(a.metrics(), b.metrics());
         assert!(a.admitted > 0);
         assert!(a.non_finite_paths().is_empty());
         assert!(a.rtt.p99() >= a.rtt.p50());
     }
 
+    /// First-fit under another label: the engine keys its first-fit fast
+    /// path on the label, so this policy always goes through `place()`.
+    struct FirstFitViaPlace;
+
+    impl PlacementPolicy for FirstFitViaPlace {
+        fn label(&self) -> &str {
+            "first-fit-via-place"
+        }
+
+        fn place(&self, app: &App, servers: &[ServerLoad]) -> Option<usize> {
+            super::super::FirstFit.place(app, servers)
+        }
+    }
+
     #[test]
-    fn shard_count_does_not_change_the_report() {
-        let mut one = surrogate_engine(Arc::new(super::super::FirstFit));
-        one.autoscale = Some(AutoscaleConfig::steady());
-        one.backpressure = Some(BackpressureConfig::lobby());
-        let mut three = surrogate_engine(Arc::new(super::super::FirstFit));
-        three.autoscale = Some(AutoscaleConfig::steady());
-        three.backpressure = Some(BackpressureConfig::lobby());
-        three.shards = 3;
-        assert_eq!(
-            one.run_with_threads(2).metrics(),
-            three.run_with_threads(2).metrics()
-        );
+    fn first_fit_fast_path_matches_place() {
+        let dynamic = |policy: Arc<dyn PlacementPolicy>| {
+            let mut eng = surrogate_engine(policy);
+            eng.epochs = 24;
+            eng.autoscale = Some(AutoscaleConfig {
+                eval_every_epochs: 2,
+                ..AutoscaleConfig::steady()
+            });
+            eng.migration = Some(MigrationConfig {
+                pressure_threshold: 0.5,
+            });
+            eng.backpressure = Some(BackpressureConfig::lobby());
+            eng
+        };
+        for build in [surrogate_engine, dynamic] {
+            let (fast, fast_audit) = build(Arc::new(super::super::FirstFit)).live().finish(2);
+            let (slow, slow_audit) = build(Arc::new(FirstFitViaPlace)).live().finish(2);
+            assert_eq!(fast_audit.placements, slow_audit.placements);
+            assert_eq!(fast.metrics(), slow.metrics());
+            assert_eq!(fast.dynamics, slow.dynamics);
+            assert!(fast.admitted > 0);
+            assert!(fast.offered > fast.admitted, "saturating load must refuse");
+        }
     }
 
     #[test]
@@ -2326,7 +2344,7 @@ mod tests {
             queue_limit: 4,
             retry_after_epochs: 1,
         });
-        let (report, audit) = eng.run_audited(2);
+        let (report, audit) = eng.live().finish(2);
         assert_eq!(
             audit.offered,
             audit.admitted + audit.rejected + audit.queued
@@ -2347,7 +2365,7 @@ mod tests {
             warmup_epochs: 1,
             ..AutoscaleConfig::steady()
         });
-        let (report, audit) = eng.run_audited(2);
+        let (report, audit) = eng.live().finish(2);
         let stats = report
             .dynamics
             .expect("dynamics present")
@@ -2377,7 +2395,7 @@ mod tests {
         eng.migration = Some(MigrationConfig {
             pressure_threshold: 0.5,
         });
-        let (report, audit) = eng.run_audited(2);
+        let (report, audit) = eng.live().finish(2);
         let stats = report
             .dynamics
             .expect("dynamics present")
@@ -2417,8 +2435,8 @@ mod tests {
         let mut empty = surrogate_engine(Arc::new(super::super::FirstFit));
         empty.backpressure = Some(BackpressureConfig::lobby());
         empty.faults = Some(FaultPlan::default());
-        let a = plain.run_with_threads(2);
-        let b = empty.run_with_threads(2);
+        let a = plain.live().finish(2).0;
+        let b = empty.live().finish(2).0;
         assert_eq!(a.metrics(), b.metrics());
         // The empty plan normalizes away entirely — no ledger appears.
         assert!(b.dynamics.expect("bp dynamics").faults.is_none());
@@ -2451,7 +2469,7 @@ mod tests {
             ],
             ..FaultPlan::default()
         });
-        let (report, audit) = eng.run_audited(2);
+        let (report, audit) = eng.live().finish(2);
         let fl = report
             .dynamics
             .expect("fault dynamics")
@@ -2504,7 +2522,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         });
-        let (report, audit) = eng.run_audited(2);
+        let (report, audit) = eng.live().finish(2);
         let fl = report
             .dynamics
             .expect("fault dynamics")
@@ -2553,8 +2571,8 @@ mod tests {
                 .collect(),
             ..FaultPlan::default()
         });
-        let a = healthy.run_with_threads(2);
-        let b = stormy.run_with_threads(2);
+        let a = healthy.live().finish(2).0;
+        let b = stormy.live().finish(2).0;
         let fl = b
             .dynamics
             .as_ref()
@@ -2601,7 +2619,7 @@ mod tests {
             },
             ..FaultPlan::default()
         });
-        let (report, _) = eng.run_audited(1);
+        let (report, _) = eng.live().finish(1);
         let fl = report
             .dynamics
             .expect("fault dynamics")
@@ -2623,7 +2641,7 @@ mod tests {
             queue_limit: 4,
             retry_after_epochs: eng.epochs,
         });
-        let (_, audit) = eng.run_audited(1);
+        let (_, audit) = eng.live().finish(1);
         assert!(audit.queued > 0, "saturating load must refuse something");
         assert_eq!(audit.expired, audit.queued);
         assert_eq!(audit.retried, 0);
@@ -2649,7 +2667,7 @@ mod tests {
             queue_limit: 8,
             retry_after_epochs: u64::MAX / 2,
         });
-        let (_, audit) = eng.run_audited(1);
+        let (_, audit) = eng.live().finish(1);
         assert_eq!(audit.queued, audit.retried + audit.expired);
         assert_eq!(audit.retried, 0, "a saturated product can never retry");
     }

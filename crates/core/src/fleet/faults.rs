@@ -9,7 +9,7 @@
 //! ([`Hazard`]) whose injection times are drawn from named
 //! [`SeedTree`] streams before the run starts. Materialization is a pure
 //! function of `(plan, seed, fleet shape)`, so a faulty run is exactly as
-//! byte-deterministic across threads and shards as a healthy one, and an
+//! byte-deterministic across threads as a healthy one, and an
 //! *empty* plan is differential-tested byte-identical to no plan at all
 //! (`tests/fleet_chaos_differential.rs`).
 //!
@@ -191,7 +191,7 @@ pub struct FaultEvent {
 /// geometric inter-fault gaps at `per_server_epoch` probability from its
 /// own named [`SeedTree`] stream (`faults/hazard-{h}/srv-{s}`), so the
 /// injection schedule depends only on (seed, plan, fleet shape) — never on
-/// threads, shards or event order.
+/// threads or event order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hazard {
     /// Per-server, per-epoch injection probability, in `[0, 1)`.

@@ -3,17 +3,17 @@
 //! tail-latency SLO accounting.
 //!
 //! The paper benchmarks co-located instances on a *single* server; the next
-//! layer up is a deployment. Two runners share one vocabulary:
+//! layer up is a deployment. A [`FleetSpec`] declares one fleet — servers,
+//! arrivals, workload mix, placement policy, SLOs — and a [`FleetGrid`]
+//! sweeps fleet size × arrival rate × policy over them.
 //!
-//! * [`FleetSpec::run`] — the original **epoch replay**: arrivals are
-//!   replayed deterministically in a single thread, quantized to whole
-//!   epochs, and every server interval is simulated as an independent
-//!   `CloudSystem` in parallel (see [`replay`]).
-//! * [`FleetEngine::run`] — the **event-driven online loop**: per-server-group
-//!   shards of a pooled event queue process arrival/departure/epoch-tick
-//!   events, scale to 1000+ heterogeneous servers and millions of arrivals,
-//!   and support the dynamic policies replay cannot express — autoscaling,
-//!   migration and admission backpressure (see [`engine`] and [`autoscale`]).
+//! Every fleet runs on one runner, the event-driven [`FleetEngine`] (see
+//! [`engine`]): [`FleetEngine::from_spec`] turns a spec into an engine and
+//! [`FleetEngine::live`] → [`LiveFleet::finish`] runs it. Beyond what a
+//! spec declares, the engine scales to 1000+ heterogeneous servers and
+//! millions of arrivals, and supports autoscaling, migration and admission
+//! backpressure (see [`autoscale`]), extending [`FleetReport`] with a
+//! [`FleetDynamics`] section.
 //!
 //! The engine additionally takes a deterministic [`FaultPlan`] (see
 //! [`faults`]): scheduled and hazard-driven server crashes, GPU-memory
@@ -23,37 +23,30 @@
 //! `orphaned + evicted = recovered + lost`, and an empty plan is a proven
 //! byte-level no-op (`tests/fleet_chaos_differential.rs`).
 //!
-//! For static fleets the engine reproduces the replay report **byte for
-//! byte** (`tests/fleet_engine_differential.rs`); with dynamics enabled it
-//! extends [`FleetReport`] with a [`FleetDynamics`] section.
+//! # Execution model
 //!
-//! # Execution model (replay)
-//!
-//! Fleet time is divided into fixed **epochs**. Phase 1 replays the arrival
-//! process deterministically in a single thread: every session request is
-//! quantized to whole epochs, offered to the placement policy against pure
-//! bookkeeping snapshots ([`ServerLoad`]), and either admitted (occupying
-//! its server for its whole span) or rejected (open-loop sessions are lost;
-//! closed-loop clients retry after a think time). Phase 2 carves every
-//! server's occupancy timeline into maximal intervals with an unchanged
-//! session set and simulates each interval as an independent `CloudSystem`
-//! (warm-up, then one counter window per epoch, with RTTs tracked across the
-//! whole interval so epoch boundaries don't censor slow inputs), **in
-//! parallel across OS threads**. Phase 3 reduces the per-interval results in
-//! (server, epoch) order.
+//! Fleet time is divided into fixed **epochs**. Every session request is
+//! quantized to whole epochs and offered to the placement policy against
+//! pure bookkeeping snapshots ([`ServerLoad`]) at its start epoch: it is
+//! either admitted (occupying its server for its whole span) or rejected
+//! (open-loop sessions are lost; closed-loop clients retry after a think
+//! time). When the run is sealed, every server's occupancy timeline is
+//! carved into maximal intervals with an unchanged session set, and each
+//! interval is simulated as an independent `CloudSystem` (warm-up, then one
+//! counter window per epoch, with RTTs tracked across the whole interval
+//! so epoch boundaries don't censor slow inputs), **in parallel across OS
+//! threads**. The results are reduced in (server, epoch) order.
 //!
 //! Determinism follows the suite runner's discipline: interval seeds derive
 //! from *names* (`server-{s}/e{epoch}`), never from thread identity, and
 //! reduction order is fixed — running a fleet with 1 thread or N threads
 //! emits byte-identical reports (`tests/fleet_determinism.rs` locks this
-//! in; `tests/fleet_engine_determinism.rs` extends the matrix to shard
-//! counts).
+//! in; `tests/fleet_engine_determinism.rs` extends it to dynamic fleets).
 
 pub mod autoscale;
 pub mod engine;
 pub mod faults;
 pub mod policy;
-pub mod replay;
 pub mod report;
 
 use std::sync::Arc;
@@ -310,29 +303,6 @@ impl FleetSpec {
         self.slo = slo;
         self
     }
-
-    /// Runs the fleet on `PICTOR_THREADS` OS threads (default: available
-    /// parallelism).
-    pub fn run(&self) -> FleetReport {
-        self.run_with_threads(default_threads())
-    }
-
-    /// Runs the fleet on exactly `threads` OS threads. The report is
-    /// byte-identical for any `threads >= 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads`, `servers`, `slots_per_server`, `epochs` or the
-    /// epoch length is zero.
-    pub fn run_with_threads(&self, threads: usize) -> FleetReport {
-        assert!(threads > 0, "need at least one thread");
-        assert!(self.servers > 0, "fleet needs at least one server");
-        assert!(self.slots_per_server > 0, "need at least one slot");
-        assert!(self.epochs > 0, "fleet horizon must be positive");
-        assert!(!self.epoch.is_zero(), "epoch length must be positive");
-        let schedule = self.schedule_sessions();
-        self.execute(schedule, threads)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -428,16 +398,16 @@ impl FleetGrid {
         self.sizes.len().max(1) * self.rates.len().max(1) * self.policies.len().max(1)
     }
 
-    /// True when every axis is empty (the grid still expands to one
-    /// default cell).
+    /// Always false: a grid expands to at least one cell, since an empty
+    /// axis takes its default.
     pub fn is_empty(&self) -> bool {
         false
     }
 
     /// Expands the grid into its cell specs, in grid order (sizes
     /// outermost, policies innermost) — the same specs [`FleetGrid::run`]
-    /// executes. Public so the differential suite can drive each cell
-    /// through [`FleetEngine::from_spec`] as well.
+    /// executes. Public so callers can run a cell with an adjusted
+    /// [`FleetEngine`] (built with [`FleetEngine::from_spec`]).
     pub fn specs(&self) -> Vec<FleetSpec> {
         let sizes = if self.sizes.is_empty() {
             vec![8]
@@ -484,8 +454,9 @@ impl FleetGrid {
         self.run_with_threads(default_threads())
     }
 
-    /// Runs every cell, each fleet advancing its servers in parallel on
-    /// `threads` OS threads. Byte-identical for any `threads >= 1`.
+    /// Runs every cell through [`FleetEngine::from_spec`], each fleet
+    /// advancing its servers in parallel on `threads` OS threads.
+    /// Byte-identical for any `threads >= 1`.
     ///
     /// # Panics
     ///
@@ -506,7 +477,7 @@ impl FleetGrid {
         }
         let reports = cells
             .iter()
-            .map(|spec| spec.run_with_threads(threads))
+            .map(|spec| FleetEngine::from_spec(spec).live().finish(threads).0)
             .collect();
         FleetSuiteReport::from_cells(&self.name, self.seed, reports)
     }
@@ -554,7 +525,10 @@ mod tests {
 
     #[test]
     fn tiny_fleet_run_produces_finite_nonzero_metrics() {
-        let report = tiny_spec(Arc::new(FirstFit)).run_with_threads(2);
+        let report = FleetEngine::from_spec(&tiny_spec(Arc::new(FirstFit)))
+            .live()
+            .finish(2)
+            .0;
         assert!(report.admitted > 0, "no sessions admitted");
         assert!(report.session_epochs > 0);
         assert!(report.utilization > 0.0 && report.utilization <= 1.0);
@@ -568,8 +542,9 @@ mod tests {
 
     #[test]
     fn fleet_runs_identically_on_any_thread_count() {
-        let one = tiny_spec(Arc::new(InterferenceAware)).run_with_threads(1);
-        let four = tiny_spec(Arc::new(InterferenceAware)).run_with_threads(4);
+        let spec = tiny_spec(Arc::new(InterferenceAware));
+        let one = FleetEngine::from_spec(&spec).live().finish(1).0;
+        let four = FleetEngine::from_spec(&spec).live().finish(4).0;
         assert_eq!(one.metrics(), four.metrics());
     }
 

@@ -1,10 +1,10 @@
 //! Placement policies: pure decision functions over per-server load
 //! snapshots.
 //!
-//! Both fleet runners (epoch replay and the online engine) offer every
-//! candidate session to a [`PlacementPolicy`] against [`ServerLoad`]
-//! bookkeeping snapshots; policies must be deterministic pure functions of
-//! their inputs — fleet determinism rides on it.
+//! The fleet engine offers every candidate session to a
+//! [`PlacementPolicy`] against [`ServerLoad`] bookkeeping snapshots;
+//! policies must be deterministic pure functions of their inputs — fleet
+//! determinism rides on it.
 
 use pictor_apps::App;
 use pictor_render::contention::contention_states;

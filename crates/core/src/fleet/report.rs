@@ -1,12 +1,11 @@
 //! Fleet report types and deterministic emitters.
 //!
-//! [`FleetReport`] is the reduced outcome of one fleet run (either
-//! runner); [`FleetSuiteReport`] aggregates a grid of them with JSON/CSV
-//! emitters whose bytes depend only on (grid, seed) — never on thread or
-//! shard count. Runs with dynamic policies enabled (autoscaling,
-//! migration, backpressure) attach a [`FleetDynamics`] section; static
-//! runs leave it `None` and emit exactly the bytes the epoch replay
-//! always has.
+//! [`FleetReport`] is the reduced outcome of one fleet run;
+//! [`FleetSuiteReport`] aggregates a grid of them with JSON/CSV emitters
+//! whose bytes depend only on (grid, seed) — never on thread count. Runs
+//! with dynamic policies enabled (autoscaling, migration, backpressure,
+//! faults) attach a [`FleetDynamics`] section; static runs leave it `None`,
+//! so their bytes carry no dynamics fields at all.
 
 use std::fmt::Write as _;
 
@@ -215,8 +214,8 @@ pub struct FleetReport {
     pub fps_violations: u64,
     /// Tracked inputs above [`SloSpec::max_rtt_ms`].
     pub rtt_violations: u64,
-    /// Dynamic-policy outcomes — `None` for the epoch replay and for
-    /// static online-engine runs (their reports are byte-identical).
+    /// Dynamic-policy outcomes — `None` for static runs (no autoscale,
+    /// migration, backpressure or non-empty fault plan).
     pub dynamics: Option<FleetDynamics>,
 }
 

@@ -1,11 +1,11 @@
 //! Property tests over the online fleet engine's audit trace.
 //!
-//! The differential suite proves the *static* engine equals replay; these
-//! properties lock down the dynamic behaviours replay cannot express, on
-//! randomized fleets: session conservation through the admission ledger,
-//! per-server slot/memory capacity at every epoch, the backpressure queue
-//! bound, and the autoscaler's no-drop guarantee (every placed session
-//! epoch lies inside an active window of its server).
+//! The goldens pin a few fixed fleets; these properties lock down the
+//! engine's dynamic behaviours on randomized fleets: session conservation
+//! through the admission ledger, per-server slot/memory capacity at every
+//! epoch, the backpressure queue bound, and the autoscaler's no-drop
+//! guarantee (every placed session epoch lies inside an active window of
+//! its server).
 
 use std::sync::Arc;
 
@@ -28,13 +28,11 @@ fn mix() -> WorkloadMix {
 /// plane (the properties are about the control plane, so the cheap plane
 /// keeps 64 cases fast), saturating arrivals to actually exercise
 /// rejection, parking and growth.
-#[allow(clippy::too_many_arguments)]
 fn engine(
     servers_a: usize,
     servers_b: usize,
     epochs: u64,
     seed: u64,
-    shards: usize,
     policy_pick: u8,
     hot: bool,
 ) -> FleetEngine {
@@ -56,7 +54,6 @@ fn engine(
         ArrivalConfig::moderate()
     };
     eng.data_plane = DataPlane::Surrogate;
-    eng.shards = shards;
     eng
 }
 
@@ -71,14 +68,13 @@ proptest! {
         servers_b in 1usize..4,
         epochs in 4u64..12,
         seed in 0u64..500,
-        shards in 1usize..4,
         policy_pick in 0u8..2,
         queue_limit in 1usize..6,
     ) {
-        let mut eng = engine(servers_a, servers_b, epochs, seed, shards, policy_pick, true);
+        let mut eng = engine(servers_a, servers_b, epochs, seed, policy_pick, true);
         eng.backpressure = Some(BackpressureConfig { queue_limit, retry_after_epochs: 1 });
         eng.migration = Some(MigrationConfig::contention_relief());
-        let (report, audit) = eng.run_audited(2);
+        let (report, audit) = eng.live().finish(2);
         prop_assert_eq!(audit.offered, audit.admitted + audit.rejected + audit.queued);
         prop_assert_eq!(audit.queued, audit.retried + audit.expired);
         prop_assert_eq!(report.offered, audit.offered);
@@ -102,13 +98,12 @@ proptest! {
         servers_b in 1usize..4,
         epochs in 4u64..12,
         seed in 0u64..500,
-        shards in 1usize..4,
         policy_pick in 0u8..2,
     ) {
-        let mut eng = engine(servers_a, servers_b, epochs, seed, shards, policy_pick, true);
+        let mut eng = engine(servers_a, servers_b, epochs, seed, policy_pick, true);
         eng.autoscale = Some(AutoscaleConfig { eval_every_epochs: 2, ..AutoscaleConfig::steady() });
         eng.migration = Some(MigrationConfig { pressure_threshold: 1.0 });
-        let (_, audit) = eng.run_audited(2);
+        let (_, audit) = eng.live().finish(2);
         let servers = audit.gpu_capacity_mib.len();
         for server in 0..servers {
             for e in 0..epochs {
@@ -143,19 +138,19 @@ proptest! {
         queue_limit in 1usize..8,
         retry_after in 1u64..4,
     ) {
-        let mut eng = engine(servers_a, servers_b, epochs, seed, 2, 0, true);
+        let mut eng = engine(servers_a, servers_b, epochs, seed, 0, true);
         eng.backpressure = Some(BackpressureConfig {
             queue_limit,
             retry_after_epochs: retry_after,
         });
-        let (_, audit) = eng.run_audited(2);
+        let (_, audit) = eng.live().finish(2);
         prop_assert!(
             audit.peak_queue <= queue_limit,
             "peak queue {} over limit {}", audit.peak_queue, queue_limit
         );
 
-        let bare = engine(servers_a, servers_b, epochs, seed, 2, 0, true);
-        let (_, audit) = bare.run_audited(2);
+        let bare = engine(servers_a, servers_b, epochs, seed, 0, true);
+        let (_, audit) = bare.live().finish(2);
         prop_assert_eq!(audit.queued, 0);
         prop_assert_eq!(audit.peak_queue, 0);
     }
@@ -172,13 +167,13 @@ proptest! {
         eval_every in 1u64..4,
         warmup in 1u64..3,
     ) {
-        let mut eng = engine(servers_a, servers_b, epochs, seed, 2, 0, true);
+        let mut eng = engine(servers_a, servers_b, epochs, seed, 0, true);
         eng.autoscale = Some(AutoscaleConfig {
             eval_every_epochs: eval_every,
             warmup_epochs: warmup,
             ..AutoscaleConfig::steady()
         });
-        let (_, audit) = eng.run_audited(2);
+        let (_, audit) = eng.live().finish(2);
         for p in &audit.placements {
             prop_assert!(
                 audit.activity[p.server]
@@ -206,13 +201,12 @@ proptest! {
         servers_b in 1usize..4,
         epochs in 6u64..14,
         seed in 0u64..500,
-        shards in 1usize..4,
         policy_pick in 0u8..2,
         crash_p in 0.0f64..0.12,
         degrade_p in 0.0f64..0.12,
         queue_limit in 1usize..6,
     ) {
-        let mut eng = engine(servers_a, servers_b, epochs, seed, shards, policy_pick, true);
+        let mut eng = engine(servers_a, servers_b, epochs, seed, policy_pick, true);
         eng.backpressure = Some(BackpressureConfig { queue_limit, retry_after_epochs: 1 });
         eng.faults = Some(FaultPlan {
             scheduled: vec![FaultEvent {
@@ -251,7 +245,7 @@ proptest! {
             ],
             ..FaultPlan::default()
         });
-        let (report, audit) = eng.run_audited(2);
+        let (report, audit) = eng.live().finish(2);
         prop_assert_eq!(audit.offered, audit.admitted + audit.rejected + audit.queued);
         prop_assert_eq!(audit.queued, audit.retried + audit.expired);
         prop_assert_eq!(audit.orphaned + audit.evicted, audit.recovered + audit.lost);
@@ -278,11 +272,10 @@ proptest! {
         servers_b in 1usize..4,
         epochs in 6u64..14,
         seed in 0u64..500,
-        shards in 1usize..4,
         severity in 0.3f64..0.95,
         degrade_p in 0.02f64..0.25,
     ) {
-        let mut eng = engine(servers_a, servers_b, epochs, seed, shards, 0, true);
+        let mut eng = engine(servers_a, servers_b, epochs, seed, 0, true);
         eng.faults = Some(FaultPlan {
             hazards: vec![Hazard {
                 per_server_epoch: degrade_p,
@@ -293,7 +286,7 @@ proptest! {
             }],
             ..FaultPlan::default()
         });
-        let (_, audit) = eng.run_audited(2);
+        let (_, audit) = eng.live().finish(2);
         for (server, steps) in audit.capacity_steps.iter().enumerate() {
             prop_assert!(
                 steps.windows(2).all(|w| w[0].0 <= w[1].0),

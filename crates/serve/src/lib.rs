@@ -1,8 +1,9 @@
 //! Live serving mode for the Pictor fleet: a control-plane daemon
 //! (`pictor-serve`) and a synthetic client swarm (`pictor-load`).
 //!
-//! Everything before this crate ran the fleet **offline**: `run()` owned
-//! the loop from first arrival to sealed report. This crate turns the
+//! Without this crate a fleet runs **offline**: one
+//! [`LiveFleet::finish`](pictor_core::fleet::LiveFleet::finish) call
+//! drives it from first arrival to sealed report. This crate turns the
 //! same engine into a *server*: a long-running daemon owns a
 //! [`LiveFleet`](pictor_core::fleet::LiveFleet), admits and places
 //! sessions as requests arrive over a small versioned wire protocol

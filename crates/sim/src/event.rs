@@ -279,103 +279,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A fixed set of [`EventQueue`] shards with a deterministic cross-shard
-/// merge.
-///
-/// Sharding partitions a simulation's events (e.g. one shard per server
-/// group) so each shard keeps its own pooled storage and insertion-order
-/// tie-breaking, while [`ShardedQueues::pop_min`] merges them in
-/// **(time, shard, insertion)** order — a total order that depends only on
-/// the schedule calls, never on how many shards exist elsewhere or which
-/// thread drives the loop.
-///
-/// ```
-/// use pictor_sim::{ShardedQueues, SimTime};
-/// let mut q = ShardedQueues::new(2);
-/// q.schedule(1, SimTime::from_nanos(5), "b");
-/// q.schedule(0, SimTime::from_nanos(5), "a");
-/// assert_eq!(q.pop_min(), Some((SimTime::from_nanos(5), 0, "a")));
-/// assert_eq!(q.pop_min(), Some((SimTime::from_nanos(5), 1, "b")));
-/// ```
-#[derive(Debug)]
-pub struct ShardedQueues<E> {
-    shards: Vec<EventQueue<E>>,
-}
-
-impl<E> ShardedQueues<E> {
-    /// Creates `shards` empty queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedQueues {
-            shards: (0..shards).map(|_| EventQueue::new()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedules `payload` on `shard` at `time`.
-    pub fn schedule(&mut self, shard: usize, time: SimTime, payload: E) -> EventId {
-        self.shards[shard].schedule(time, payload)
-    }
-
-    /// Cancels an event previously scheduled on `shard`.
-    pub fn cancel(&mut self, shard: usize, id: EventId) -> bool {
-        self.shards[shard].cancel(id)
-    }
-
-    /// The earliest `(time, shard)` over all shards, ties to the lowest
-    /// shard index.
-    pub fn peek_min(&mut self) -> Option<(SimTime, usize)> {
-        let mut best: Option<(SimTime, usize)> = None;
-        for shard in 0..self.shards.len() {
-            if let Some(t) = self.shards[shard].peek_time() {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, shard));
-                }
-            }
-        }
-        best
-    }
-
-    /// Pops the globally earliest event in (time, shard, insertion) order.
-    pub fn pop_min(&mut self) -> Option<(SimTime, usize, E)> {
-        let (_, shard) = self.peek_min()?;
-        let (time, payload) = self.shards[shard].pop().expect("peeked shard must pop");
-        Some((time, shard, payload))
-    }
-
-    /// Pops every event with `time <= deadline` into `out` as
-    /// `(time, shard, payload)`, in merge order. Returns the count.
-    pub fn drain_until(&mut self, deadline: SimTime, out: &mut Vec<(SimTime, usize, E)>) -> usize {
-        let mut n = 0;
-        while let Some((t, _)) = self.peek_min() {
-            if t > deadline {
-                break;
-            }
-            out.push(self.pop_min().expect("peeked event must pop"));
-            n += 1;
-        }
-        n
-    }
-
-    /// True if no live events remain on any shard.
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_min().is_none()
-    }
-
-    /// Sum of every shard's payload-pool high-water mark.
-    pub fn pool_capacity(&self) -> usize {
-        self.shards.iter().map(EventQueue::pool_capacity).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,48 +474,5 @@ mod tests {
         }
         assert_eq!(q.events_processed(), waves * per_wave);
         assert_eq!(q.pool_capacity(), (per_wave + 1) as usize);
-    }
-
-    #[test]
-    fn sharded_merge_orders_by_time_then_shard_then_insertion() {
-        let mut q = ShardedQueues::new(3);
-        q.schedule(2, t(5), "s2-a");
-        q.schedule(0, t(5), "s0-a");
-        q.schedule(0, t(5), "s0-b");
-        q.schedule(1, t(3), "s1-early");
-        q.schedule(1, t(5), "s1-a");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop_min().map(|(_, _, e)| e)).collect();
-        assert_eq!(order, vec!["s1-early", "s0-a", "s0-b", "s1-a", "s2-a"]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_cancel_and_drain() {
-        let mut q = ShardedQueues::new(2);
-        let a = q.schedule(0, t(1), 1);
-        q.schedule(1, t(2), 2);
-        q.schedule(0, t(9), 3);
-        assert!(q.cancel(0, a));
-        let mut out = Vec::new();
-        assert_eq!(q.drain_until(t(5), &mut out), 1);
-        assert_eq!(out, vec![(t(2), 1usize, 2)]);
-        assert_eq!(q.peek_min(), Some((t(9), 0)));
-    }
-
-    #[test]
-    fn sharded_pools_stay_per_shard() {
-        let mut q = ShardedQueues::new(2);
-        for wave in 0..50u64 {
-            for i in 0..100u64 {
-                q.schedule((i % 2) as usize, t(wave * 100 + i + 1), i);
-            }
-            while q.pop_min().is_some() {}
-        }
-        assert_eq!(q.shard_count(), 2);
-        assert!(
-            q.pool_capacity() <= 100,
-            "pools grew past peak concurrency: {}",
-            q.pool_capacity()
-        );
     }
 }

@@ -35,7 +35,7 @@ pub mod stats;
 pub mod time;
 
 pub use clock::SimClock;
-pub use event::{EventId, EventQueue, ShardedQueues};
+pub use event::{EventId, EventQueue};
 pub use resource::{FifoResource, JobId, PsResource};
 pub use rng::SeedTree;
 pub use stats::{Distribution, P2Quantile, Summary, TailQuantiles, TimeWeighted};

@@ -6,12 +6,10 @@
 //! *names*, never on the order anything else was derived — which is what
 //! makes parallel suite execution bit-identical to serial execution.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 use rand::Rng;
 
-use pictor_sim::{EventQueue, SeedTree, ShardedQueues, SimTime};
+use pictor_sim::{EventQueue, SeedTree, SimTime};
 
 /// One step of an arbitrary queue workload.
 #[derive(Debug, Clone, Copy)]
@@ -135,71 +133,6 @@ proptest! {
         let _ = tree.child("z");
         let b = tree.child("a").child("b").master();
         prop_assert_eq!(a, b);
-    }
-
-    /// Cancelling events mid-run (after an arbitrary pop prefix) never
-    /// perturbs the deterministic (time, shard, insertion) merge order of
-    /// the survivors: the drained tail equals a reference run that only
-    /// ever scheduled the survivors — the contract fault-driven departure
-    /// cancellation in the fleet engine leans on.
-    #[test]
-    fn sharded_merge_survives_mid_run_cancellation(
-        shard_count in 1usize..5,
-        events in prop::collection::vec((0usize..5, 0u64..50), 1..120),
-        cancel_mask in prop::collection::vec(any::<bool>(), 120..121),
-        pop_prefix in 0usize..40,
-    ) {
-        let mut q: ShardedQueues<u64> = ShardedQueues::new(shard_count);
-        let mut ids = Vec::with_capacity(events.len());
-        for (i, &(s, t)) in events.iter().enumerate() {
-            let shard = s % shard_count;
-            let id = q.schedule(shard, SimTime::from_nanos(t), i as u64);
-            ids.push((shard, id));
-        }
-        // Pop an arbitrary prefix first — cancellation happens mid-run,
-        // against queues whose pools and clocks have already moved.
-        let mut popped_set: HashSet<u64> = HashSet::new();
-        for _ in 0..pop_prefix {
-            match q.pop_min() {
-                Some((_, _, payload)) => {
-                    popped_set.insert(payload);
-                }
-                None => break,
-            }
-        }
-        // Cancel a subset of the still-live events.
-        let mut cancelled: HashSet<u64> = HashSet::new();
-        for (i, &(shard, id)) in ids.iter().enumerate() {
-            if popped_set.contains(&(i as u64)) {
-                continue;
-            }
-            if cancel_mask[i % cancel_mask.len()] {
-                prop_assert!(q.cancel(shard, id), "live event must cancel");
-                cancelled.insert(i as u64);
-            }
-        }
-        // Reference: a queue that only ever saw the survivors, scheduled
-        // in the original call order.
-        let mut r: ShardedQueues<u64> = ShardedQueues::new(shard_count);
-        for (i, &(s, t)) in events.iter().enumerate() {
-            if cancelled.contains(&(i as u64)) {
-                continue;
-            }
-            r.schedule(s % shard_count, SimTime::from_nanos(t), i as u64);
-        }
-        let mut reference = Vec::new();
-        while let Some(ev) = r.pop_min() {
-            // The prefix popped before cancellation drains first in both
-            // runs; only the surviving tail is compared.
-            if !popped_set.contains(&ev.2) {
-                reference.push(ev);
-            }
-        }
-        let mut remaining = Vec::new();
-        while let Some(ev) = q.pop_min() {
-            remaining.push(ev);
-        }
-        prop_assert_eq!(remaining, reference);
     }
 
     /// Distinct names yield distinct streams (no accidental collisions in

@@ -41,7 +41,6 @@ fn main() {
         GroupSpec::with_gpu(12, &base, GpuModel::TeslaT4),
         GroupSpec::with_gpu(12, &base, GpuModel::Rtx3090),
     ];
-    eng.shards = 2;
     // Loaded to ~100% rather than saturated: a lobby pinned at its limit
     // by ordinary demand would turn every crash orphan into an instant
     // loss, and this example is about watching recovery work.
@@ -125,7 +124,7 @@ fn main() {
         eng.groups[1].label,
         epochs
     );
-    let (report, audit) = eng.run_audited(pictor::core::suite::default_threads());
+    let (report, audit) = eng.live().finish(pictor::core::suite::default_threads());
 
     // 3. The damage report: what the fault plan did to the fleet.
     let dynamics = report.dynamics.as_ref().expect("dynamic run");

@@ -1,13 +1,13 @@
-//! The online fleet engine — dynamic operations over a heterogeneous
-//! fleet.
+//! The fleet engine — dynamic operations over a heterogeneous fleet.
 //!
-//! Where `examples/fleet.rs` replays a static schedule, this walks the
-//! event-driven engine end to end: two GPU generations behind one
+//! Where `examples/fleet.rs` sweeps static fleets, this walks the engine's
+//! dynamic control plane end to end: two GPU generations behind one
 //! first-fit scheduler, utilization-driven autoscaling with warm-up lag,
 //! migration off contended servers, and admission backpressure with a
-//! bounded retry queue. It prints the operations view (growth, moves,
-//! parked arrivals) next to the tenant view (tails, SLOs), then verifies
-//! the run's conservation ledger from the audit trace.
+//! bounded retry queue. It runs through `FleetEngine::live()` →
+//! `LiveFleet::finish`, prints the operations view (growth, moves, parked
+//! arrivals) next to the tenant view (tails, SLOs), then verifies the
+//! run's conservation ledger from the audit trace.
 //!
 //! Run with: `cargo run --release --example fleet_engine`
 //! (set `PICTOR_SECS` to change the fleet horizon).
@@ -39,11 +39,10 @@ fn main() {
         GroupSpec::with_gpu(12, &base, GpuModel::TeslaT4),
         GroupSpec::with_gpu(12, &base, GpuModel::Rtx3090),
     ];
-    eng.shards = 2;
     eng.arrivals = ArrivalConfig::saturating();
     eng.data_plane = DataPlane::Surrogate;
 
-    // 2. The dynamic policies replay cannot express.
+    // 2. The dynamic policies: autoscale, migration, backpressure.
     eng.autoscale = Some(AutoscaleConfig {
         eval_every_epochs: 2,
         ..AutoscaleConfig::steady()
@@ -58,7 +57,7 @@ fn main() {
         eng.groups[1].label,
         epochs
     );
-    let (report, audit) = eng.run_audited(pictor::core::suite::default_threads());
+    let (report, audit) = eng.live().finish(pictor::core::suite::default_threads());
 
     // 3. The operations view: what the dynamic control plane did.
     let dynamics = report.dynamics.as_ref().expect("dynamic run");

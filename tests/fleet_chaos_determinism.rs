@@ -1,8 +1,7 @@
 //! Determinism matrix for fault injection and recovery: a chaos probe —
 //! scheduled crashes, stochastic crash/degrade/brownout hazards, full
-//! dynamic control plane — must emit an identical report across every
-//! {threads} × {shards} combination, and match a committed golden
-//! snapshot.
+//! dynamic control plane — must emit an identical report at every thread
+//! count, and match a committed golden snapshot.
 //!
 //! Fault determinism holds by construction: the injection schedule is
 //! materialized up front from named `SeedTree` streams (a pure function
@@ -32,7 +31,7 @@ use pictor::render::SystemConfig;
 /// exercises every injection class — a scheduled drain-crash and
 /// degradation, plus crash/degrade/brownout hazards hot enough to fire
 /// in 24 epochs.
-fn probe(shards: usize) -> FleetEngine {
+fn probe() -> FleetEngine {
     let base = SystemConfig::turbovnc_stock();
     let mix = WorkloadMix::uniform([AppId::Dota2, AppId::SuperTuxKart, AppId::ZeroAd]);
     let spec = FleetSpec::new(8, mix, Arc::new(FirstFit), 2020).epochs(24);
@@ -49,7 +48,6 @@ fn probe(shards: usize) -> FleetEngine {
     });
     eng.migration = Some(MigrationConfig::contention_relief());
     eng.backpressure = Some(BackpressureConfig::lobby());
-    eng.shards = shards;
     eng.faults = Some(chaos_plan());
     eng
 }
@@ -124,17 +122,15 @@ fn flatten(report: &FleetReport) -> BTreeMap<String, f64> {
 
 #[test]
 fn chaos_report_is_identical_across_thread_and_shard_matrix() {
-    let baseline = probe(1).run_with_threads(1);
+    let baseline = probe().live().finish(1).0;
     let baseline_map = flatten(&baseline);
-    for shards in [1usize, 4] {
-        for threads in [1usize, 2, 8] {
-            let run = probe(shards).run_with_threads(threads);
-            assert_eq!(
-                flatten(&run),
-                baseline_map,
-                "chaos report drifted at threads={threads} shards={shards}"
-            );
-        }
+    for threads in [2usize, 8] {
+        let run = probe().live().finish(threads).0;
+        assert_eq!(
+            flatten(&run),
+            baseline_map,
+            "chaos report drifted at threads={threads}"
+        );
     }
     // The probe exercises what it claims to pin: every injection class
     // fires and recovery actually runs.
@@ -191,7 +187,7 @@ fn parse_json(body: &str) -> BTreeMap<String, f64> {
 
 #[test]
 fn chaos_engine_matches_golden() {
-    let actual = flatten(&probe(4).run_with_threads(4));
+    let actual = flatten(&probe().live().finish(4).0);
     let path = golden_path();
     if std::env::var("PICTOR_BLESS").is_ok() {
         std::fs::write(&path, to_json(&actual)).expect("write golden");

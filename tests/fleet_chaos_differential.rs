@@ -6,9 +6,9 @@
 //! (an extra draw, a reordered job, a widened metric set) lands here as
 //! a byte diff in the suite JSON/CSV/summary.
 //!
-//! The sweep-grid ride-along proves the engine-with-empty-plan still
-//! reproduces epoch replay byte-for-byte, closing the loop back to the
-//! replay-era goldens.
+//! The sweep-grid ride-along proves the same on static fleets: every
+//! `fleet_sweep` cell run with an empty plan emits the bytes the grid
+//! emits with no plan at all.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,7 +41,6 @@ fn dynamic_probe(seed: u64, faults: Option<FaultPlan>) -> FleetEngine {
     });
     eng.migration = Some(MigrationConfig::contention_relief());
     eng.backpressure = Some(BackpressureConfig::lobby());
-    eng.shards = 2;
     eng.faults = faults;
     eng
 }
@@ -64,10 +63,15 @@ fn flatten(report: &FleetReport) -> BTreeMap<String, f64> {
 fn empty_fault_plan_is_byte_identical_on_dynamic_cells() {
     for seed in [7u64, 2020, 40404] {
         let plain: Vec<FleetReport> = (0..2)
-            .map(|i| dynamic_probe(seed + i, None).run_with_threads(4))
+            .map(|i| dynamic_probe(seed + i, None).live().finish(4).0)
             .collect();
         let empty: Vec<FleetReport> = (0..2)
-            .map(|i| dynamic_probe(seed + i, Some(FaultPlan::default())).run_with_threads(4))
+            .map(|i| {
+                dynamic_probe(seed + i, Some(FaultPlan::default()))
+                    .live()
+                    .finish(4)
+                    .0
+            })
             .collect();
         for (a, b) in plain.iter().zip(&empty) {
             assert_eq!(flatten(a), flatten(b), "seed {seed}: metrics drifted");
@@ -85,21 +89,21 @@ fn empty_fault_plan_is_byte_identical_on_dynamic_cells() {
 }
 
 #[test]
-fn empty_fault_plan_preserves_replay_parity_on_the_sweep_grid() {
+fn empty_fault_plan_is_byte_identical_on_the_sweep_grid() {
     let grid = fleet::sized_grid(&[8], 2, 2020);
-    let replay = grid.run_with_threads(4);
+    let plain = grid.run_with_threads(4);
     let cells: Vec<_> = grid
         .specs()
         .iter()
         .map(|spec| {
             let mut eng = FleetEngine::from_spec(spec);
             eng.faults = Some(FaultPlan::default());
-            eng.run_with_threads(4)
+            eng.live().finish(4).0
         })
         .collect();
-    let engine = FleetSuiteReport::from_cells(grid.name(), grid.seed(), cells);
-    assert_eq!(replay.to_json(), engine.to_json());
-    assert_eq!(replay.to_csv(), engine.to_csv());
-    assert_eq!(replay.summary_table(), engine.summary_table());
-    assert!(engine.cells().iter().all(|c| c.admitted > 0));
+    let empty = FleetSuiteReport::from_cells(grid.name(), grid.seed(), cells);
+    assert_eq!(plain.to_json(), empty.to_json());
+    assert_eq!(plain.to_csv(), empty.to_csv());
+    assert_eq!(plain.summary_table(), empty.summary_table());
+    assert!(empty.cells().iter().all(|c| c.admitted > 0));
 }

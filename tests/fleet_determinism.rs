@@ -3,13 +3,14 @@
 //! many.
 //!
 //! This is what makes fleet-scale parallel simulation trustworthy —
-//! interval seeds derive from (server, epoch) *names*, placement is a pure
-//! single-threaded replay, and reduction happens in (server, epoch) order,
-//! never completion order.
+//! interval seeds derive from (server, epoch) *names*, placement runs on
+//! one thread, and reduction happens in (server, epoch) order, never
+//! completion order.
 
 use pictor::apps::AppId;
 use pictor::core::fleet::{
-    ArrivalConfig, FirstFit, FleetGrid, FleetSpec, InterferenceAware, LeastContended, WorkloadMix,
+    ArrivalConfig, FirstFit, FleetEngine, FleetGrid, FleetSpec, InterferenceAware, LeastContended,
+    WorkloadMix,
 };
 
 use std::sync::Arc;
@@ -54,16 +55,14 @@ fn rerunning_the_same_fleet_is_reproducible() {
 
 #[test]
 fn single_fleet_spec_is_thread_invariant_too() {
-    // The grid wraps FleetSpec::run_with_threads; pin the invariant at the
-    // lower level as well, with the policy whose placement depends on the
-    // most state.
-    let spec = || {
-        FleetSpec::new(8, mix(), Arc::new(InterferenceAware), 99)
-            .epochs(3)
-            .arrivals(ArrivalConfig::saturating())
-    };
-    let one = spec().run_with_threads(1);
-    let many = spec().run_with_threads(6);
+    // The grid runs each cell through FleetEngine::from_spec; pin the
+    // invariant at that level as well, with the policy whose placement
+    // depends on the most state.
+    let spec = FleetSpec::new(8, mix(), Arc::new(InterferenceAware), 99)
+        .epochs(3)
+        .arrivals(ArrivalConfig::saturating());
+    let one = FleetEngine::from_spec(&spec).live().finish(1).0;
+    let many = FleetEngine::from_spec(&spec).live().finish(6).0;
     assert_eq!(one.metrics(), many.metrics());
     assert_eq!(one.admitted, many.admitted);
 }

@@ -1,16 +1,13 @@
-//! Determinism matrix for the online fleet engine: one dynamic,
-//! heterogeneous probe fleet must emit an identical report across every
-//! {threads} × {shards} combination, and match a committed golden
-//! snapshot.
+//! Determinism matrix for the fleet engine: one dynamic, heterogeneous
+//! probe fleet must emit an identical report at every thread count, and
+//! match a committed golden snapshot.
 //!
-//! Thread invariance holds because job results are reduced in (server,
-//! epoch) order regardless of completion order; shard invariance holds
-//! because every order-sensitive same-time event pair is intra-group and
-//! a group's events live on exactly one shard (insertion-ordered), while
-//! cross-group same-time events commute. The golden pins the whole
-//! dynamic control plane — autoscale growth, migration moves, parked
-//! arrivals — to exact values; drift means a model change that must be
-//! blessed: `PICTOR_BLESS=1 cargo test --test fleet_engine_determinism`.
+//! Thread invariance holds because the control plane runs on one thread
+//! and job results are reduced in (server, epoch) order regardless of
+//! completion order. The golden pins the whole dynamic control plane —
+//! autoscale growth, migration moves, parked arrivals — to exact values;
+//! drift means a model change that must be blessed:
+//! `PICTOR_BLESS=1 cargo test --test fleet_engine_determinism`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -28,7 +25,7 @@ use pictor::render::SystemConfig;
 /// policies on, surrogate data plane. Small enough to run six times in a
 /// tier-1 test, busy enough that autoscaling grows, migration moves and
 /// backpressure parks.
-fn probe(shards: usize) -> FleetEngine {
+fn probe() -> FleetEngine {
     let base = SystemConfig::turbovnc_stock();
     let mix = WorkloadMix::uniform([AppId::Dota2, AppId::SuperTuxKart, AppId::ZeroAd]);
     let spec = FleetSpec::new(8, mix, Arc::new(FirstFit), 2020).epochs(16);
@@ -45,7 +42,6 @@ fn probe(shards: usize) -> FleetEngine {
     });
     eng.migration = Some(MigrationConfig::contention_relief());
     eng.backpressure = Some(BackpressureConfig::lobby());
-    eng.shards = shards;
     eng
 }
 
@@ -64,17 +60,15 @@ fn flatten(report: &FleetReport) -> BTreeMap<String, f64> {
 
 #[test]
 fn report_is_identical_across_thread_and_shard_matrix() {
-    let baseline = probe(1).run_with_threads(1);
+    let baseline = probe().live().finish(1).0;
     let baseline_map = flatten(&baseline);
-    for shards in [1usize, 4] {
-        for threads in [1usize, 2, 8] {
-            let run = probe(shards).run_with_threads(threads);
-            assert_eq!(
-                flatten(&run),
-                baseline_map,
-                "report drifted at threads={threads} shards={shards}"
-            );
-        }
+    for threads in [2usize, 8] {
+        let run = probe().live().finish(threads).0;
+        assert_eq!(
+            flatten(&run),
+            baseline_map,
+            "report drifted at threads={threads}"
+        );
     }
     // The probe exercises what it claims to pin.
     let dyn_ = baseline.dynamics.expect("dynamics");
@@ -122,7 +116,7 @@ fn parse_json(body: &str) -> BTreeMap<String, f64> {
 
 #[test]
 fn dynamic_engine_matches_golden() {
-    let actual = flatten(&probe(4).run_with_threads(4));
+    let actual = flatten(&probe().live().finish(4).0);
     let path = golden_path();
     if std::env::var("PICTOR_BLESS").is_ok() {
         std::fs::write(&path, to_json(&actual)).expect("write golden");
