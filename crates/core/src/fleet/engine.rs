@@ -41,7 +41,7 @@ use pictor_hw::{GpuModel, ServerSpec};
 use pictor_render::contention::contention_states;
 use pictor_render::{CloudSystem, HumanDriver, SystemConfig};
 use pictor_sim::rng::exponential;
-use pictor_sim::{EventId, EventQueue, SeedTree, SimDuration, SimTime, TailQuantiles};
+use pictor_sim::{EventId, EventQueue, Histogram, SeedTree, SimDuration, SimTime};
 
 use crate::tracker::InputTracker;
 
@@ -1866,8 +1866,8 @@ impl<'a> EngineState<'a> {
             by_server[seg.server].push(i as u32);
         }
 
-        let mut fps = TailQuantiles::new();
-        let mut rtt = TailQuantiles::new();
+        let mut fps = Histogram::new();
+        let mut rtt = Histogram::new();
         let mut fps_violations = 0u64;
         let mut rtt_violations = 0u64;
         let mut fault_rtt_viol = 0u64;
@@ -1875,9 +1875,9 @@ impl<'a> EngineState<'a> {
         let mut tracked_inputs = 0u64;
 
         // Carve each server's timeline into maximal constant-set
-        // occupancy intervals and run the data plane over server chunks:
-        // job order — hence the reduction stream and the P² states — is
-        // server-major regardless of chunking or threads. Fault cuts
+        // occupancy intervals and run the data plane over server chunks.
+        // The reduction is integer counts plus order-free histograms, so
+        // chunking and threads cannot change a byte of it. Fault cuts
         // (degradation steps and brownout edges) force interval boundaries
         // so each job sees one capacity and one network impairment.
         struct Job {

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use pictor_sim::{SimDuration, TailQuantiles};
+use pictor_sim::{Histogram, SimDuration};
 
 use crate::report::{csv_field, json_escape, json_num, Table};
 
@@ -204,10 +204,11 @@ pub struct FleetReport {
     pub session_epochs: u64,
     /// Tracked RTT samples behind the RTT tail.
     pub tracked_inputs: u64,
-    /// Streaming server-FPS tail over session-epoch samples.
-    pub fps: TailQuantiles,
-    /// Streaming RTT tail over every tracked input, ms.
-    pub rtt: TailQuantiles,
+    /// Server-FPS histogram over session-epoch samples; its quantiles are
+    /// within 2⁻⁸ of the exact percentiles.
+    pub fps: Histogram,
+    /// RTT histogram over every tracked input, ms.
+    pub rtt: Histogram,
     /// The SLO targets the violation counts refer to.
     pub slo: SloSpec,
     /// Session-epochs below [`SloSpec::min_fps`].
@@ -533,8 +534,8 @@ mod tests {
             utilization: 0.5,
             session_epochs: 12,
             tracked_inputs: 40,
-            fps: TailQuantiles::new(),
-            rtt: TailQuantiles::new(),
+            fps: Histogram::new(),
+            rtt: Histogram::new(),
             slo: SloSpec::interactive(),
             fps_violations: 1,
             rtt_violations: 2,

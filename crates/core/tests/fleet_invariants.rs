@@ -5,7 +5,9 @@
 //! through the admission ledger, per-server slot/memory capacity at every
 //! epoch, the backpressure queue bound, and the autoscaler's no-drop
 //! guarantee (every placed session epoch lies inside an active window of
-//! its server).
+//! its server). Every generated fleet's report also has to carry one
+//! histogram sample per session-epoch and per tracked input, with tails
+//! ordered inside their exact extremes.
 
 use std::sync::Arc;
 
@@ -14,7 +16,7 @@ use proptest::prelude::*;
 use pictor_apps::AppId;
 use pictor_core::fleet::{
     ArrivalConfig, AutoscaleConfig, BackpressureConfig, DataPlane, FaultEvent, FaultKind,
-    FaultPlan, FirstFit, FleetEngine, FleetSpec, GroupSpec, Hazard, LeastContended,
+    FaultPlan, FirstFit, FleetEngine, FleetReport, FleetSpec, GroupSpec, Hazard, LeastContended,
     MigrationConfig, PlacementPolicy, WorkloadMix,
 };
 use pictor_hw::GpuModel;
@@ -57,6 +59,23 @@ fn engine(
     eng
 }
 
+/// The report's tails hold one sample per session-epoch (FPS) and per
+/// tracked input (RTT), and read `min <= p50 <= p95 <= p99 <= max`.
+fn check_tails(report: &FleetReport) -> Result<(), TestCaseError> {
+    prop_assert_eq!(report.fps.count(), report.session_epochs);
+    prop_assert_eq!(report.rtt.count(), report.tracked_inputs);
+    for (name, h) in [("fps", &report.fps), ("rtt", &report.rtt)] {
+        let reads = [h.min(), h.p50(), h.p95(), h.p99(), h.max()];
+        prop_assert!(
+            reads.windows(2).all(|w| w[0] <= w[1]),
+            "{} tail out of order (min, p50, p95, p99, max): {:?}",
+            name,
+            reads
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// Every placement attempt ends in exactly one of admit / reject /
     /// park, every parked attempt is either retried or expires, and the
@@ -75,6 +94,7 @@ proptest! {
         eng.backpressure = Some(BackpressureConfig { queue_limit, retry_after_epochs: 1 });
         eng.migration = Some(MigrationConfig::contention_relief());
         let (report, audit) = eng.live().finish(2);
+        check_tails(&report)?;
         prop_assert_eq!(audit.offered, audit.admitted + audit.rejected + audit.queued);
         prop_assert_eq!(audit.queued, audit.retried + audit.expired);
         prop_assert_eq!(report.offered, audit.offered);
@@ -103,7 +123,8 @@ proptest! {
         let mut eng = engine(servers_a, servers_b, epochs, seed, policy_pick, true);
         eng.autoscale = Some(AutoscaleConfig { eval_every_epochs: 2, ..AutoscaleConfig::steady() });
         eng.migration = Some(MigrationConfig { pressure_threshold: 1.0 });
-        let (_, audit) = eng.live().finish(2);
+        let (report, audit) = eng.live().finish(2);
+        check_tails(&report)?;
         let servers = audit.gpu_capacity_mib.len();
         for server in 0..servers {
             for e in 0..epochs {
@@ -143,14 +164,16 @@ proptest! {
             queue_limit,
             retry_after_epochs: retry_after,
         });
-        let (_, audit) = eng.live().finish(2);
+        let (report, audit) = eng.live().finish(2);
+        check_tails(&report)?;
         prop_assert!(
             audit.peak_queue <= queue_limit,
             "peak queue {} over limit {}", audit.peak_queue, queue_limit
         );
 
         let bare = engine(servers_a, servers_b, epochs, seed, 0, true);
-        let (_, audit) = bare.live().finish(2);
+        let (report, audit) = bare.live().finish(2);
+        check_tails(&report)?;
         prop_assert_eq!(audit.queued, 0);
         prop_assert_eq!(audit.peak_queue, 0);
     }
@@ -173,7 +196,8 @@ proptest! {
             warmup_epochs: warmup,
             ..AutoscaleConfig::steady()
         });
-        let (_, audit) = eng.live().finish(2);
+        let (report, audit) = eng.live().finish(2);
+        check_tails(&report)?;
         for p in &audit.placements {
             prop_assert!(
                 audit.activity[p.server]
@@ -246,6 +270,7 @@ proptest! {
             ..FaultPlan::default()
         });
         let (report, audit) = eng.live().finish(2);
+        check_tails(&report)?;
         prop_assert_eq!(audit.offered, audit.admitted + audit.rejected + audit.queued);
         prop_assert_eq!(audit.queued, audit.retried + audit.expired);
         prop_assert_eq!(audit.orphaned + audit.evicted, audit.recovered + audit.lost);
@@ -286,7 +311,8 @@ proptest! {
             }],
             ..FaultPlan::default()
         });
-        let (_, audit) = eng.live().finish(2);
+        let (report, audit) = eng.live().finish(2);
+        check_tails(&report)?;
         for (server, steps) in audit.capacity_steps.iter().enumerate() {
             prop_assert!(
                 steps.windows(2).all(|w| w[0].0 <= w[1].0),

@@ -55,8 +55,7 @@ pub use journal::{
     JournalWriter, RecoveredJournal,
 };
 pub use load::{
-    merge_quantile_parts, run_in_process, run_swarm, run_swarm_threaded, InProcessRun, LoadReport,
-    LoadSpec, LOAD_SCHEMA,
+    run_in_process, run_swarm, run_swarm_threaded, InProcessRun, LoadReport, LoadSpec, LOAD_SCHEMA,
 };
 pub use protocol::{
     ErrCode, FrameDecoder, Msg, Outcome, WireError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,

@@ -22,14 +22,13 @@
 //!
 //! With `drivers = N`, the population is partitioned `client % N` across
 //! N OS threads, each with its own connection, its own decorrelated seed
-//! stream and its own admit-latency [`P2Quantile`] estimators; driver 0
-//! additionally owns the open-loop stream, the snapshot cadence, and the
-//! end-of-run drain/seal. Per-driver estimators are merged into
-//! fleet-wide tails at report time ([`merge_quantile_parts`]) in driver
-//! index order, so the merged report depends on the *partitioning*, never
-//! on OS scheduling. `drivers = 1` reproduces the single-threaded swarm
-//! byte for byte — including its RNG stream — which is what keeps the
-//! recorded-journal golden valid.
+//! stream and its own admit-latency [`Histogram`]; driver 0 additionally
+//! owns the open-loop stream, the snapshot cadence, and the end-of-run
+//! drain/seal. At report time the per-driver histograms merge exactly, in
+//! driver index order, so the swarm's admit tails are those of one
+//! histogram over every driver's samples. `drivers = 1` reproduces the
+//! single-threaded swarm byte for byte — including its RNG stream — which
+//! is what keeps the recorded-journal golden valid.
 //!
 //! Two measurement planes, deliberately separated: everything *wall* —
 //! admit-latency tails, achieved request throughput — lands in
@@ -50,7 +49,7 @@ use pictor_apps::AppId;
 use pictor_core::fleet::FleetEngine;
 use pictor_core::report::{csv_field, json_num};
 use pictor_sim::rng::{exponential, lognormal_mean_cv};
-use pictor_sim::{P2Quantile, SeedTree, SimClock, SimTime};
+use pictor_sim::{Histogram, SeedTree, SimClock, SimTime};
 use rand::Rng;
 
 use crate::daemon::{run_daemon, ServeOptions, ServeOutcome};
@@ -300,30 +299,6 @@ impl LoadReport {
     }
 }
 
-/// Merges per-driver streaming quantile estimates into one fleet-wide
-/// value: the sample-count-weighted mean of the per-part estimates,
-/// folded in part order. A single non-empty part passes through exactly
-/// (no float arithmetic touches it), so `drivers = 1` reports the same
-/// tails it always did.
-///
-/// This is an estimator-of-estimators, not an exact merge — P² summaries
-/// cannot be combined losslessly. For parts drawn from the same
-/// distribution the weighted mean stays within the P² error envelope of
-/// the exact sorted percentile (`crates/serve/tests/merged_tails.rs`
-/// pins constant, bimodal and heavy-tail feeds), and the fold order is
-/// fixed by part index, never by thread scheduling.
-pub fn merge_quantile_parts(parts: &[(u64, f64)]) -> f64 {
-    let live: Vec<&(u64, f64)> = parts.iter().filter(|(n, _)| *n > 0).collect();
-    match live.as_slice() {
-        [] => 0.0,
-        [(_, v)] => *v,
-        _ => {
-            let total: u64 = live.iter().map(|(n, _)| n).sum();
-            live.iter().map(|(n, v)| *n as f64 * v).sum::<f64>() / total as f64
-        }
-    }
-}
-
 /// Due-event payloads in the swarm's virtual-time heap. Ordering only
 /// breaks exact `(time, seq)` ties, which the monotone sequence number
 /// prevents — derived `Ord` is just heap plumbing.
@@ -357,11 +332,8 @@ struct DriverStats {
     peak_tracked: u64,
     poll_fps_sum: f64,
     poll_rtt_sum: f64,
-    /// (sample count, estimate) per admit-latency quantile.
-    admit_p50: (u64, f64),
-    admit_p95: (u64, f64),
-    admit_p99: (u64, f64),
-    admit_max_us: f64,
+    /// Admit latency (open → decision round-trip), microseconds.
+    admit_us: Histogram,
     /// From the driver's HelloAck: fleet size × slots (soak bound).
     servers: u64,
     slots: u64,
@@ -460,9 +432,6 @@ fn drive<C: Conn + ?Sized>(
         slots,
         ..DriverStats::default()
     };
-    let mut p50 = P2Quantile::new(0.50);
-    let mut p95 = P2Quantile::new(0.95);
-    let mut p99 = P2Quantile::new(0.99);
     // Request ids interleave `driver, driver + drivers, …` so they stay
     // globally unique without coordination.
     let mut next_req = driver as u64 + 1;
@@ -485,11 +454,7 @@ fn drive<C: Conn + ?Sized>(
                     app_code: app.code().into(),
                 })?;
                 let reply = conn.recv()?;
-                let us = sent.elapsed().as_secs_f64() * 1e6;
-                p50.record(us);
-                p95.record(us);
-                p99.record(us);
-                st.admit_max_us = st.admit_max_us.max(us);
+                st.admit_us.record(sent.elapsed().as_secs_f64() * 1e6);
                 st.requests += 1;
                 let Msg::Decision {
                     req: rep_req,
@@ -579,11 +544,7 @@ fn drive<C: Conn + ?Sized>(
                     app_code: app.code().into(),
                 })?;
                 let reply = conn.recv()?;
-                let us = sent.elapsed().as_secs_f64() * 1e6;
-                p50.record(us);
-                p95.record(us);
-                p99.record(us);
-                st.admit_max_us = st.admit_max_us.max(us);
+                st.admit_us.record(sent.elapsed().as_secs_f64() * 1e6);
                 st.requests += 1;
                 match reply {
                     Msg::Decision { outcome, .. } => match outcome {
@@ -644,9 +605,6 @@ fn drive<C: Conn + ?Sized>(
         }
     }
     clock.sleep_until(SimTime::from_nanos(horizon_ns));
-    st.admit_p50 = (p50.count(), p50.value());
-    st.admit_p95 = (p95.count(), p95.value());
-    st.admit_p99 = (p99.count(), p99.value());
     Ok(st)
 }
 
@@ -667,7 +625,10 @@ fn merge_report(
     let polls = sum(|s| s.polls);
     let snapshots = sum(|s| s.snapshots);
     let round_trips = requests + polls + snapshots + 1;
-    let parts = |f: fn(&DriverStats) -> (u64, f64)| stats.iter().map(f).collect::<Vec<_>>();
+    let mut admit_us = Histogram::new();
+    for s in stats {
+        admit_us.merge(&s.admit_us);
+    }
     LoadReport {
         mode: mode.into(),
         pace: pace.into(),
@@ -694,10 +655,10 @@ fn merge_report(
             .max(peak_tracked_extra),
         wall_ms: wall.as_secs_f64() * 1e3,
         achieved_rps: round_trips as f64 / wall.as_secs_f64().max(1e-9),
-        admit_p50_us: merge_quantile_parts(&parts(|s| s.admit_p50)),
-        admit_p95_us: merge_quantile_parts(&parts(|s| s.admit_p95)),
-        admit_p99_us: merge_quantile_parts(&parts(|s| s.admit_p99)),
-        admit_max_us: stats.iter().map(|s| s.admit_max_us).fold(0.0, f64::max),
+        admit_p50_us: admit_us.p50(),
+        admit_p95_us: admit_us.p95(),
+        admit_p99_us: admit_us.p99(),
+        admit_max_us: admit_us.max(),
         poll_fps_mean: if polls > 0 {
             stats.iter().map(|s| s.poll_fps_sum).sum::<f64>() / polls as f64
         } else {

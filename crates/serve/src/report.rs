@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 
 use pictor_core::fleet::{FleetAudit, FleetReport};
 use pictor_core::report::{csv_field, json_num};
+use pictor_sim::Histogram;
 
 /// Schema identifier embedded in the JSON document.
 pub const SERVE_SCHEMA: &str = "pictor-serve/v1";
@@ -152,10 +153,9 @@ impl ServeReport {
     /// and session-epochs sum exactly; `peak_queue`/`peak_sessions` sum
     /// per-shard peaks (an upper bound on the true simultaneous peak,
     /// since shards need not peak together); `utilization` is the
-    /// server-weighted mean; and the tail quantiles are sample-count
-    /// weighted means of the per-shard P² estimates (fps by
-    /// session-epochs, rtt by tracked inputs) — the same documented
-    /// approximation the load swarm uses to merge driver estimators.
+    /// server-weighted mean; and the tail quantiles are read from the
+    /// exact merge of the per-shard FPS and RTT histograms, so they equal
+    /// what one histogram over every shard's samples would report.
     ///
     /// # Panics
     ///
@@ -166,32 +166,21 @@ impl ServeReport {
             return ServeReport::new(ingress, virtual_clock, &shards[0].fleet, &shards[0].audit);
         }
         let servers: usize = shards.iter().map(|s| s.fleet.servers).sum();
-        let session_epochs: u64 = shards.iter().map(|s| s.fleet.session_epochs).sum();
-        let tracked_inputs: u64 = shards.iter().map(|s| s.fleet.tracked_inputs).sum();
-        let wmean = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-        let utilization = wmean(
+        let utilization = if servers > 0 {
             shards
                 .iter()
                 .map(|s| s.fleet.utilization * s.fleet.servers as f64)
-                .sum(),
-            servers as f64,
-        );
-        let fps_p50 = wmean(
-            shards
-                .iter()
-                .map(|s| s.fleet.fps.p50() * s.fleet.session_epochs as f64)
-                .sum(),
-            session_epochs as f64,
-        );
-        let rtt = |pick: fn(&FleetReport) -> f64| {
-            wmean(
-                shards
-                    .iter()
-                    .map(|s| pick(&s.fleet) * s.fleet.tracked_inputs as f64)
-                    .sum(),
-                tracked_inputs as f64,
-            )
+                .sum::<f64>()
+                / servers as f64
+        } else {
+            0.0
         };
+        let mut fps = Histogram::new();
+        let mut rtt = Histogram::new();
+        for s in shards {
+            fps.merge(&s.fleet.fps);
+            rtt.merge(&s.fleet.rtt);
+        }
         ServeReport {
             servers,
             slots_per_server: shards[0].fleet.slots_per_server,
@@ -210,11 +199,11 @@ impl ServeReport {
             peak_queue: shards.iter().map(|s| s.audit.peak_queue).sum(),
             peak_sessions: shards.iter().map(|s| s.fleet.peak_sessions).sum(),
             utilization,
-            session_epochs,
-            fps_p50,
-            rtt_p50: rtt(|f| f.rtt.p50()),
-            rtt_p95: rtt(|f| f.rtt.p95()),
-            rtt_p99: rtt(|f| f.rtt.p99()),
+            session_epochs: shards.iter().map(|s| s.fleet.session_epochs).sum(),
+            fps_p50: fps.p50(),
+            rtt_p50: rtt.p50(),
+            rtt_p95: rtt.p95(),
+            rtt_p99: rtt.p99(),
         }
     }
 

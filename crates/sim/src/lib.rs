@@ -11,8 +11,9 @@
 //! * [`FifoResource`] — a single-server FIFO queue (GPU render engine).
 //! * [`rng`] — deterministic, named random-number streams plus the handful of
 //!   distributions the models need (normal, lognormal).
-//! * [`stats`] — streaming summaries, percentile distributions and
-//!   time-weighted utilization integrals used by the measurement framework.
+//! * [`stats`] — streaming summaries, percentile distributions, the
+//!   mergeable tail [`Histogram`] and time-weighted utilization integrals
+//!   used by the measurement framework.
 //!
 //! # Example
 //!
@@ -38,5 +39,5 @@ pub use clock::SimClock;
 pub use event::{EventId, EventQueue};
 pub use resource::{FifoResource, JobId, PsResource};
 pub use rng::SeedTree;
-pub use stats::{Distribution, P2Quantile, Summary, TailQuantiles, TimeWeighted};
+pub use stats::{Distribution, Histogram, Summary, TimeWeighted};
 pub use time::{SimDuration, SimTime};

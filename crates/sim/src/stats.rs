@@ -1,9 +1,11 @@
-//! Measurement statistics: streaming summaries, percentile distributions and
-//! time-weighted averages.
+//! Measurement statistics: streaming summaries, percentile distributions,
+//! tail histograms and time-weighted averages.
 //!
 //! The performance framework reports RTT distributions as mean plus
 //! 1/25/75/99-percentiles (paper Fig. 6); [`Distribution`] captures exactly
-//! that from retained samples. [`Summary`] is a constant-space Welford
+//! that from retained samples. [`Histogram`] keeps the same percentiles
+//! within a fixed 2⁻⁸ relative error in bounded memory, and merges exactly,
+//! for streams too long to retain. [`Summary`] is a constant-space Welford
 //! accumulator for high-volume streams, and [`TimeWeighted`] integrates
 //! piecewise-constant signals (utilization, queue depth) over virtual time.
 
@@ -267,198 +269,65 @@ pub struct FivePoint {
     pub p99: f64,
 }
 
-/// Constant-space streaming quantile estimator (the P² algorithm of Jain &
-/// Chlamtac, CACM 1985).
+/// Right shift from a positive `f64` bit pattern to its bucket: the
+/// exponent plus the top 7 mantissa bits, i.e. 128 linear sub-buckets per
+/// power of two.
+const KEY_SHIFT: u32 = 52 - 7;
+
+/// Midpoint of bucket `b`: its lower bound with the next mantissa bit set.
+fn midpoint(b: usize) -> f64 {
+    f64::from_bits((b as u64) << KEY_SHIFT | 1 << (KEY_SHIFT - 1))
+}
+
+/// Log-linear bucketed histogram in the HdrHistogram style: the tail
+/// summary behind every fleet, daemon and load-swarm percentile.
 ///
-/// Maintains five markers whose heights track the quantile and its
-/// neighborhood; memory and per-observation cost are O(1) regardless of
-/// stream length, which is what fleet-scale tail-latency accounting needs
-/// (millions of RTT samples across servers). Until five observations have
-/// arrived the estimate is the exact sorted-sample percentile. The
-/// estimator is fully deterministic: the same observation sequence always
-/// yields the same estimate.
+/// The bucket layout is fixed: each power of two splits into 128 linear
+/// sub-buckets, and zero has its own exact bucket. Counts are integers over
+/// the occupied bucket range only; count, min and max are exact. So the
+/// histogram does not depend on record order, and [`Histogram::merge`] is
+/// exact: any split of a stream, merged in any order, equals (`==`) one
+/// pass over the whole stream.
+///
+/// [`Histogram::quantile`] interpolates at rank `(n − 1)q`, the rank
+/// arithmetic of [`Distribution::percentile`], and reads each order
+/// statistic as its bucket's midpoint clamped to `[min, max]`. Every
+/// quantile of normal (non-subnormal) values is therefore within 2⁻⁸
+/// (0.39%) of the exact percentile of the same samples.
 ///
 /// ```
-/// use pictor_sim::P2Quantile;
-/// let mut q = P2Quantile::new(0.5);
-/// for x in 1..=1000 { q.record(x as f64); }
-/// assert!((q.value() - 500.5).abs() < 10.0);
+/// use pictor_sim::Histogram;
+/// let mut a: Histogram = (1..=50).map(|v| v as f64).collect();
+/// let b: Histogram = (51..=100).map(|v| v as f64).collect();
+/// a.merge(&b);
+/// assert_eq!(a, (1..=100).map(|v| v as f64).collect());
+/// assert_eq!((a.count(), a.min(), a.max()), (100, 1.0, 100.0));
+/// assert!((a.p50() - 50.5).abs() <= 50.5 / 256.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (sorted ascending once initialized).
-    heights: [f64; 5],
-    /// Actual marker positions (1-based observation ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired-position increments per observation.
-    increments: [f64; 5],
+pub struct Histogram {
+    /// Exact zeros.
+    zeros: u64,
+    /// Bucket of `counts[0]`.
+    first: usize,
+    /// Counts of the positive buckets `first..first + counts.len()`; both
+    /// ends nonzero.
+    counts: Vec<u64>,
     n: u64,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q` in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q < 1`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile out of range: {q}");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            n: 0,
-        }
-    }
-
-    /// The tracked quantile.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Records one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN.
-    pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN observation");
-        if self.n < 5 {
-            // Initialization: collect and keep the first five sorted.
-            let n = self.n as usize;
-            self.heights[n] = x;
-            self.n += 1;
-            let live = self.n as usize;
-            self.heights[..live].sort_by(|a, b| a.partial_cmp(b).expect("no NaN by invariant"));
-            return;
-        }
-        self.n += 1;
-        // Find the cell k with heights[k] <= x < heights[k+1], extending the
-        // extreme markers when x falls outside them.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            while k < 3 && x >= self.heights[k + 1] {
-                k += 1;
-            }
-            k
-        };
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-        // Adjust the three interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) height update for marker `i` moved by `d`.
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    /// Linear fallback when the parabolic prediction is non-monotone.
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate (zero when no observation was recorded).
-    pub fn value(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        if self.n <= 5 {
-            // Exact linear-interpolated percentile over the sorted prefix.
-            return percentile_sorted(&self.heights[..self.n as usize], self.q * 100.0);
-        }
-        // Interpolate the piecewise-linear marker curve (positions[i],
-        // heights[i]) at the target rank 1 + (n-1)q. Returning the middle
-        // marker outright (the textbook read of P²) is only asymptotically
-        // right: its desired rank reaches the extreme quantiles slowly, so
-        // p99 over a small stream collapses toward the median and jumps
-        // discontinuously at the exact→P² handover after five samples.
-        // Marker positions are ranks 1..=n with gaps >= 1, so the clamp
-        // always lands in a well-defined cell.
-        let rank = (1.0 + (self.n - 1) as f64 * self.q).clamp(self.positions[0], self.positions[4]);
-        let mut i = 0;
-        while i < 3 && self.positions[i + 1] < rank {
-            i += 1;
-        }
-        let frac = (rank - self.positions[i]) / (self.positions[i + 1] - self.positions[i]);
-        // h0 + frac*(h1-h0) (not the symmetric lerp): exact when the cell is
-        // flat, so constant streams report the constant bit-for-bit.
-        self.heights[i] + frac * (self.heights[i + 1] - self.heights[i])
-    }
-}
-
-/// Streaming tail summary: p50/p95/p99 [`P2Quantile`] markers plus count,
-/// min and max — the fleet report's per-metric accumulator.
-///
-/// ```
-/// use pictor_sim::TailQuantiles;
-/// let mut t = TailQuantiles::new();
-/// for x in 1..=100 { t.record(x as f64); }
-/// assert_eq!(t.count(), 100);
-/// assert!(t.p50() > 40.0 && t.p50() < 60.0);
-/// assert!(t.p99() >= t.p95() && t.p95() >= t.p50());
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailQuantiles {
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
     min: f64,
     max: f64,
-    n: u64,
 }
 
-impl TailQuantiles {
-    /// Creates an empty summary.
+impl Histogram {
+    /// Creates an empty histogram.
     pub fn new() -> Self {
-        TailQuantiles {
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+        Histogram {
+            zeros: 0,
+            first: 0,
+            counts: Vec::new(),
+            n: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            n: 0,
         }
     }
 
@@ -466,14 +335,53 @@ impl TailQuantiles {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is NaN.
+    /// Panics if `x` is NaN, infinite or negative.
     pub fn record(&mut self, x: f64) {
-        self.p50.record(x);
-        self.p95.record(x);
-        self.p99.record(x);
+        assert!(
+            (0.0..f64::INFINITY).contains(&x),
+            "histogram records finite nonnegative values, got {x}"
+        );
+        // Fold -0.0 into 0.0 so min/max bits cannot depend on order.
+        let x = x.abs();
+        if x == 0.0 {
+            self.zeros += 1;
+        } else {
+            let b = (x.to_bits() >> KEY_SHIFT) as usize;
+            self.cover(b, b);
+            self.counts[b - self.first] += 1;
+        }
+        self.n += 1;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        self.n += 1;
+    }
+
+    /// Adds every observation of `other` (exact).
+    pub fn merge(&mut self, other: &Histogram) {
+        if !other.counts.is_empty() {
+            self.cover(other.first, other.first + other.counts.len() - 1);
+            let offset = other.first - self.first;
+            for (c, o) in self.counts[offset..].iter_mut().zip(&other.counts) {
+                *c += o;
+            }
+        }
+        self.zeros += other.zeros;
+        self.n += other.n;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Widens the stored range to cover buckets `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.first - lo));
+            self.first = lo;
+        }
+        if hi >= self.first + self.counts.len() {
+            self.counts.resize(hi + 1 - self.first, 0);
+        }
     }
 
     /// Number of observations.
@@ -486,19 +394,55 @@ impl TailQuantiles {
         self.n == 0
     }
 
-    /// Median estimate (zero when empty).
+    /// Linear-interpolated quantile `q` in `[0, 1]` (zero when empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+        if self.n == 0 {
+            return 0.0;
+        }
+        let rank = q * (self.n - 1) as f64;
+        let lo = rank.floor() as u64;
+        let at_lo = self.order_stat(lo);
+        if rank == lo as f64 {
+            return at_lo;
+        }
+        // a + frac*(b-a): a constant stream reads back bit-for-bit.
+        at_lo + (rank - lo as f64) * (self.order_stat(lo + 1) - at_lo)
+    }
+
+    /// The `k`-th smallest observation (0-based), read as its bucket's
+    /// midpoint clamped to the exact `[min, max]`.
+    fn order_stat(&self, k: u64) -> f64 {
+        if k < self.zeros {
+            return 0.0;
+        }
+        let mut seen = self.zeros;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > k {
+                return midpoint(self.first + i).clamp(self.min, self.max);
+            }
+        }
+        unreachable!("rank {k} beyond {} observations", self.n)
+    }
+
+    /// Median (zero when empty).
     pub fn p50(&self) -> f64 {
-        self.p50.value()
+        self.quantile(0.50)
     }
 
-    /// 95th-percentile estimate (zero when empty).
+    /// 95th percentile (zero when empty).
     pub fn p95(&self) -> f64 {
-        self.p95.value()
+        self.quantile(0.95)
     }
 
-    /// 99th-percentile estimate (zero when empty).
+    /// 99th percentile (zero when empty).
     pub fn p99(&self) -> f64 {
-        self.p99.value()
+        self.quantile(0.99)
     }
 
     /// Minimum observation (zero when empty, matching the JSON emitters).
@@ -520,17 +464,19 @@ impl TailQuantiles {
     }
 }
 
-impl Default for TailQuantiles {
+impl Default for Histogram {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Extend<f64> for TailQuantiles {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
+impl FromIterator<f64> for Histogram {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        let mut h = Histogram::new();
         for x in iter {
-            self.record(x);
+            h.record(x);
         }
+        h
     }
 }
 
@@ -704,73 +650,6 @@ mod tests {
         let mut d = Distribution::new();
         d.record_duration(SimDuration::from_micros(1500));
         assert_eq!(d.samples(), &[1.5]);
-    }
-
-    #[test]
-    fn p2_empty_and_tiny_streams_are_exact() {
-        let q = P2Quantile::new(0.5);
-        assert_eq!(q.value(), 0.0);
-        let mut q = P2Quantile::new(0.5);
-        q.record(7.0);
-        assert_eq!(q.value(), 7.0);
-        // Below five samples the estimate is the exact interpolated
-        // percentile of the sorted prefix.
-        let mut q = P2Quantile::new(0.5);
-        for x in [4.0, 1.0, 3.0] {
-            q.record(x);
-        }
-        assert_eq!(q.value(), 3.0);
-        assert_eq!(q.count(), 3);
-    }
-
-    #[test]
-    fn p2_tracks_uniform_median() {
-        let mut q = P2Quantile::new(0.5);
-        // Deterministic shuffled-ish order via a fixed stride walk.
-        for i in 0..10_000u64 {
-            q.record(((i * 7919) % 10_000) as f64);
-        }
-        let v = q.value();
-        assert!((v - 5000.0).abs() < 150.0, "median estimate {v}");
-    }
-
-    #[test]
-    fn p2_is_deterministic() {
-        let run = || {
-            let mut q = P2Quantile::new(0.95);
-            for i in 0..1000u64 {
-                q.record(((i * 31) % 997) as f64);
-            }
-            q.value()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn p2_rejects_bad_quantile() {
-        let _ = P2Quantile::new(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn p2_rejects_nan() {
-        let mut q = P2Quantile::new(0.5);
-        q.record(f64::NAN);
-    }
-
-    #[test]
-    fn tail_quantiles_order_and_extremes() {
-        let mut t = TailQuantiles::new();
-        assert!(t.is_empty());
-        assert_eq!(t.min(), 0.0);
-        assert_eq!(t.max(), 0.0);
-        t.extend((1..=500).map(|v| v as f64));
-        assert_eq!(t.count(), 500);
-        assert_eq!(t.min(), 1.0);
-        assert_eq!(t.max(), 500.0);
-        assert!(t.p50() <= t.p95() && t.p95() <= t.p99());
-        assert!(t.p99() <= t.max());
     }
 
     #[test]

@@ -1,52 +1,54 @@
-//! Pins the streaming P² percentile estimator against exact sorted-slice
+//! Pins the log-linear [`Histogram`] against exact sorted-slice
 //! percentiles on adversarial input distributions.
 //!
-//! The fleet report trusts [`TailQuantiles`] for its p50/p95/p99 tail
-//! metrics, so the estimator's error must stay bounded on the shapes that
-//! break naive quantile sketches: constant streams (degenerate markers),
-//! bimodal mixtures (a density gap exactly where the median marker sits),
-//! and heavy tails (p99 dominated by rare huge samples).
+//! The fleet report, the sharded daemon report and the load swarm all read
+//! their p50/p95/p99 tails from [`Histogram`], so every quantile must stay
+//! within the layout's stated bound — 2⁻⁸ (0.39%) of
+//! [`Distribution::percentile`] over the same samples — on the shapes that
+//! break quantile sketches: constant streams, bimodal mixtures (a density
+//! gap at the median), heavy tails (p99 dominated by rare huge samples),
+//! tiny streams and monotone feeds. The properties below pin what makes it
+//! safe to merge: record order, splits and merge order cannot change a bit.
 
 use pictor_sim::rng::{exponential, lognormal_mean_cv};
-use pictor_sim::{Distribution, P2Quantile, SeedTree, TailQuantiles};
+use pictor_sim::{Distribution, Histogram, SeedTree};
+use proptest::prelude::*;
 use rand::Rng;
 
-/// Exact linear-interpolated percentile of a sample set.
-fn exact(samples: &[f64], p: f64) -> f64 {
-    let d: Distribution = samples.iter().copied().collect();
-    d.percentile(p)
-}
+/// Quantiles checked on every feed, as fractions.
+const QS: [f64; 7] = [0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 1.0];
 
-/// Asserts the streaming estimate is within `rel` of the exact percentile
-/// (with a small absolute floor so near-zero percentiles don't blow up the
-/// relative error).
-fn assert_close(label: &str, streamed: f64, exact: f64, rel: f64) {
-    let tol = rel * exact.abs().max(1e-9) + 1e-9;
-    assert!(
-        (streamed - exact).abs() <= tol,
-        "{label}: streamed {streamed} vs exact {exact} (tol {tol})"
-    );
+/// Asserts every quantile in [`QS`] is within 2⁻⁸ of the exact percentile
+/// (plus float-rounding slack from the interpolation).
+fn assert_bounded(label: &str, samples: &[f64]) {
+    let h: Histogram = samples.iter().copied().collect();
+    let mut d: Distribution = samples.iter().copied().collect();
+    for q in QS {
+        let (got, exact) = (h.quantile(q), d.percentile_mut(q * 100.0));
+        let tol = exact / 256.0 + exact * 1e-12;
+        assert!(
+            (got - exact).abs() <= tol,
+            "{label} q={q}: histogram {got} vs exact {exact} (tol {tol}, n={})",
+            samples.len()
+        );
+    }
 }
 
 #[test]
 fn constant_stream_is_exact() {
-    let mut t = TailQuantiles::new();
-    let samples = vec![42.5; 10_000];
-    t.extend(samples.iter().copied());
-    // Every marker collapses onto the constant: exact equality, not
+    let h: Histogram = std::iter::repeat_n(42.5, 10_000).collect();
+    // Every order statistic clamps onto the constant: exact equality, not
     // tolerance.
-    assert_eq!(t.p50(), 42.5);
-    assert_eq!(t.p95(), 42.5);
-    assert_eq!(t.p99(), 42.5);
-    assert_eq!(t.min(), 42.5);
-    assert_eq!(t.max(), 42.5);
+    for q in QS {
+        assert_eq!(h.quantile(q), 42.5, "q={q}");
+    }
+    assert_eq!((h.min(), h.max(), h.count()), (42.5, 42.5, 10_000));
 }
 
 #[test]
 fn bimodal_mixture_matches_exact_percentiles() {
     // Two well-separated normal-ish lobes: 70% around 10, 30% around 100.
-    // The p50 marker sits inside the left lobe, p95/p99 inside the right —
-    // the density gap between them is where interpolating sketches smear.
+    // The median sits inside the left lobe, p95/p99 inside the right.
     let mut rng = SeedTree::new(2026).stream("bimodal");
     let samples: Vec<f64> = (0..50_000)
         .map(|_| {
@@ -57,137 +59,153 @@ fn bimodal_mixture_matches_exact_percentiles() {
             }
         })
         .collect();
-    let mut t = TailQuantiles::new();
-    t.extend(samples.iter().copied());
-    assert_close("bimodal p50", t.p50(), exact(&samples, 50.0), 0.05);
-    assert_close("bimodal p95", t.p95(), exact(&samples, 95.0), 0.05);
-    assert_close("bimodal p99", t.p99(), exact(&samples, 99.0), 0.05);
+    assert_bounded("bimodal", &samples);
 }
 
 #[test]
 fn heavy_tail_matches_exact_percentiles() {
     // Lognormal with cv=2: the p99 is ~8x the median and the max is far
-    // beyond it, so tail markers must ride rare huge samples without
-    // getting dragged by the bulk.
+    // beyond it.
     let mut rng = SeedTree::new(7).stream("heavy");
     let samples: Vec<f64> = (0..50_000)
         .map(|_| lognormal_mean_cv(&mut rng, 50.0, 2.0))
         .collect();
-    let mut t = TailQuantiles::new();
-    t.extend(samples.iter().copied());
-    assert_close("heavy p50", t.p50(), exact(&samples, 50.0), 0.05);
-    assert_close("heavy p95", t.p95(), exact(&samples, 95.0), 0.10);
-    assert_close("heavy p99", t.p99(), exact(&samples, 99.0), 0.15);
+    assert_bounded("heavy", &samples);
 }
 
 #[test]
 fn exponential_interarrivals_match_exact_percentiles() {
     // The arrival process's own distribution: memoryless with mode at zero,
-    // so the p50 marker lives where density is steepest.
+    // so the low quantiles live where density is steepest.
     let mut rng = SeedTree::new(11).stream("exp");
     let samples: Vec<f64> = (0..50_000).map(|_| exponential(&mut rng, 3.0)).collect();
-    let mut q50 = P2Quantile::new(0.5);
-    let mut q99 = P2Quantile::new(0.99);
-    for &x in &samples {
-        q50.record(x);
-        q99.record(x);
-    }
-    assert_close("exp p50", q50.value(), exact(&samples, 50.0), 0.05);
-    assert_close("exp p99", q99.value(), exact(&samples, 99.0), 0.10);
-}
-
-#[test]
-fn p99_is_continuous_across_the_exact_to_p2_transition() {
-    // Regression: value() used to return the raw middle marker once n > 5,
-    // so p99 over [1..=5] (exact: 4.96) collapsed to 3.0 the moment the
-    // sixth sample arrived. The marker-curve interpolation keeps the
-    // estimate pinned to the exact percentile across the handover.
-    let mut q = P2Quantile::new(0.99);
-    for x in 1..=5 {
-        q.record(x as f64);
-    }
-    let at5 = q.value();
-    assert_close(
-        "p99 at n=5",
-        at5,
-        exact(&[1.0, 2.0, 3.0, 4.0, 5.0], 99.0),
-        1e-12,
-    );
-    q.record(6.0);
-    let at6 = q.value();
-    assert_close(
-        "p99 at n=6",
-        at6,
-        exact(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 99.0),
-        1e-9,
-    );
-    // A growing stream must not make the tail estimate fall off a cliff.
-    assert!(
-        at6 > at5,
-        "p99 dropped across the transition: {at5} -> {at6}"
-    );
-}
-
-#[test]
-fn p99_transition_survives_duplicate_value_feeds() {
-    // All-duplicate prefix: every marker starts at the same height, the
-    // degenerate case for interpolation (and for the old middle-marker
-    // read, which pinned p99 to the median forever).
-    let mut q = P2Quantile::new(0.99);
-    for _ in 0..5 {
-        q.record(5.0);
-    }
-    assert_eq!(q.value(), 5.0);
-    q.record(9.0);
-    let streamed = q.value();
-    let exact6 = exact(&[5.0, 5.0, 5.0, 5.0, 5.0, 9.0], 99.0);
-    assert!(
-        streamed > 5.0,
-        "p99 stuck at the duplicate bulk: {streamed} (exact {exact6})"
-    );
-    assert_close("dup p99 at n=6", streamed, exact6, 0.10);
-
-    // A feed that stays duplicate past the transition must stay exact.
-    let mut q = P2Quantile::new(0.99);
-    for _ in 0..32 {
-        q.record(7.25);
-    }
-    assert_eq!(q.value(), 7.25);
-
-    // Duplicates with one early outlier: the transition must not amplify it.
-    let mut q = P2Quantile::new(0.99);
-    for x in [2.0, 2.0, 2.0, 2.0, 10.0, 2.0, 2.0, 2.0] {
-        q.record(x);
-    }
-    let v = q.value();
-    assert!((2.0..=10.0).contains(&v), "p99 left the sample range: {v}");
+    assert_bounded("exp", &samples);
 }
 
 #[test]
 fn small_stream_tails_track_exact_percentiles() {
-    // With marker interpolation the estimator stays near the exact
-    // percentile through the whole small-n regime, not just at n <= 5.
-    let feed: Vec<f64> = (1..=40).map(|i| ((i * 17) % 40) as f64).collect();
-    let mut q = P2Quantile::new(0.99);
-    for (i, &x) in feed.iter().enumerate() {
-        q.record(x);
-        if i >= 5 {
-            let ex = exact(&feed[..=i], 99.0);
-            assert_close(&format!("p99 at n={}", i + 1), q.value(), ex, 0.25);
-        }
+    // Every prefix from a single sample up: interpolation between two or
+    // three order statistics is where a sketch's small-n read goes wrong.
+    let feed: Vec<f64> = (1..=40).map(|i| ((i * 17) % 40) as f64 + 0.5).collect();
+    for n in 1..=feed.len() {
+        assert_bounded(&format!("prefix n={n}"), &feed[..n]);
     }
 }
 
 #[test]
 fn sorted_and_reversed_feeds_stay_bounded() {
-    // Monotone feeds are the classic P² stress: desired positions race
-    // ahead of actual ones on one side.
     let asc: Vec<f64> = (0..20_000).map(|i| i as f64).collect();
     let desc: Vec<f64> = asc.iter().rev().copied().collect();
-    for (label, feed) in [("ascending", &asc), ("descending", &desc)] {
-        let mut t = TailQuantiles::new();
-        t.extend(feed.iter().copied());
-        assert_close(&format!("{label} p50"), t.p50(), exact(feed, 50.0), 0.10);
-        assert_close(&format!("{label} p99"), t.p99(), exact(feed, 99.0), 0.10);
+    assert_bounded("ascending", &asc);
+    assert_bounded("descending", &desc);
+}
+
+#[test]
+fn empty_histogram_reads_zero() {
+    let h = Histogram::new();
+    assert!(h.is_empty());
+    assert_eq!(h.count(), 0);
+    for q in QS {
+        assert_eq!(h.quantile(q), 0.0);
+    }
+    assert_eq!(
+        (h.p50(), h.p95(), h.p99(), h.min(), h.max()),
+        (0.0, 0.0, 0.0, 0.0, 0.0)
+    );
+    let mut merged = Histogram::new();
+    merged.merge(&h);
+    assert_eq!(merged, h);
+}
+
+#[test]
+fn quantile_outside_unit_interval_panics() {
+    let h: Histogram = [1.0, 2.0].into_iter().collect();
+    for q in [-0.01, 1.01, f64::NAN] {
+        let caught = std::panic::catch_unwind(|| h.quantile(q));
+        assert!(caught.is_err(), "read quantile {q} without panicking");
+    }
+}
+
+/// A sample drawn to hit zeros and exact repeats as well as a wide range
+/// of normal values (no subnormals: the bound covers normal values only).
+fn sample() -> impl Strategy<Value = f64> {
+    (0u8..4, 1e-3f64..1e6).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => 7.25,
+        2 => x.round(),
+        _ => x,
+    })
+}
+
+proptest! {
+    /// Zeros, repeats and six decades of spread: every quantile stays
+    /// within the bound.
+    #[test]
+    fn bound_holds_with_zeros_and_repeats(xs in prop::collection::vec(sample(), 1..300)) {
+        assert_bounded(&format!("{xs:?}"), &xs);
+    }
+
+    /// Any permutation of a stream, and any split of it merged in reverse
+    /// order, equals one pass over the stream.
+    #[test]
+    fn permutations_and_split_merges_are_equal(
+        keyed in prop::collection::vec((sample(), any::<u64>()), 1..300),
+        cuts in prop::collection::vec(0usize..300, 0..5),
+    ) {
+        let xs: Vec<f64> = keyed.iter().map(|&(x, _)| x).collect();
+        let whole: Histogram = xs.iter().copied().collect();
+        let mut shuffled = keyed.clone();
+        shuffled.sort_by_key(|&(_, k)| k);
+        let permuted: Histogram = shuffled.iter().map(|&(x, _)| x).collect();
+        prop_assert_eq!(&permuted, &whole);
+
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (xs.len() + 1)).collect();
+        bounds.extend([0, xs.len()]);
+        bounds.sort_unstable();
+        let mut merged = Histogram::new();
+        for w in bounds.windows(2).rev() {
+            merged.merge(&xs[w[0]..w[1]].iter().copied().collect());
+        }
+        prop_assert_eq!(&merged, &whole);
+        for q in QS {
+            prop_assert_eq!(merged.quantile(q).to_bits(), whole.quantile(q).to_bits());
+        }
+    }
+
+    /// Count, min and max are exact, and the read quantiles are ordered
+    /// inside them.
+    #[test]
+    fn min_max_and_count_are_exact(xs in prop::collection::vec(sample(), 1..300)) {
+        let h: Histogram = xs.iter().copied().collect();
+        prop_assert_eq!(h.count(), xs.len() as u64);
+        prop_assert_eq!(h.min(), xs.iter().copied().fold(f64::INFINITY, f64::min));
+        prop_assert_eq!(h.max(), xs.iter().copied().fold(0.0, f64::max));
+        prop_assert!(h.min() <= h.p50() && h.p50() <= h.p95());
+        prop_assert!(h.p95() <= h.p99() && h.p99() <= h.max());
+    }
+
+    /// A constant stream reads back bit-for-bit at every quantile.
+    #[test]
+    fn constant_stream_reads_back_bit_for_bit(c in 0.0f64..1e12, n in 1usize..2000) {
+        let h: Histogram = std::iter::repeat_n(c, n).collect();
+        for q in QS {
+            prop_assert_eq!(h.quantile(q).to_bits(), c.to_bits());
+        }
+    }
+
+    /// NaN, ±infinity and any negative value panic, even after valid
+    /// records.
+    #[test]
+    fn rejects_nan_infinities_and_negatives(
+        xs in prop::collection::vec(sample(), 0..20),
+        kind in 0usize..4,
+        magnitude in 1e-9f64..1e9,
+    ) {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -magnitude][kind];
+        let mut h: Histogram = xs.into_iter().collect();
+        prop_assert!(
+            std::panic::catch_unwind(move || h.record(bad)).is_err(),
+            "recorded {} without panicking", bad
+        );
     }
 }

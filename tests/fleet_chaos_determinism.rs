@@ -121,7 +121,7 @@ fn flatten(report: &FleetReport) -> BTreeMap<String, f64> {
 }
 
 #[test]
-fn chaos_report_is_identical_across_thread_and_shard_matrix() {
+fn chaos_report_is_identical_across_thread_matrix() {
     let baseline = probe().live().finish(1).0;
     let baseline_map = flatten(&baseline);
     for threads in [2usize, 8] {

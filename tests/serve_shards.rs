@@ -13,6 +13,7 @@ use pictor::serve::{
     decode_journal_entries, replay, run_in_process, serve_engine, shard_engines, LoadSpec,
     ServeOptions,
 };
+use pictor::sim::Histogram;
 
 fn probe() -> pictor::core::fleet::FleetEngine {
     // 8 servers in one stock group: divisible by 1, 2, 4 shards.
@@ -114,7 +115,8 @@ fn sharded_record_replay_is_byte_identical_and_deterministic() {
 
 /// Every shard layout keeps the merged ledger internally consistent:
 /// each open gets exactly one decision, the per-shard fleet slices sum
-/// to the full fleet, and the merged report stays schema-stable. (The
+/// to the full fleet, the merged tails are those of the shards' merged
+/// histograms, and the merged report stays schema-stable. (The
 /// absolute counts legitimately differ across layouts — the closed-loop
 /// swarm reacts to decisions, and each shard admits against its own
 /// fleet slice.)
@@ -144,6 +146,18 @@ fn sharding_preserves_the_ingress_ledger() {
                 .sum::<usize>(),
             8,
             "{shards}-shard slices must cover the full fleet"
+        );
+        let (mut fps, mut rtt) = (Histogram::new(), Histogram::new());
+        for s in &run.outcome.shards {
+            fps.merge(&s.fleet.fps);
+            rtt.merge(&s.fleet.rtt);
+        }
+        let r = &run.outcome.report;
+        assert_eq!(fps.count(), r.session_epochs);
+        assert_eq!(
+            [r.fps_p50, r.rtt_p50, r.rtt_p95, r.rtt_p99],
+            [fps.p50(), rtt.p50(), rtt.p95(), rtt.p99()],
+            "{shards}-shard report tails differ from the merged shard histograms"
         );
         assert!(run.outcome.report.to_json().contains("pictor-serve/v1"));
     }
