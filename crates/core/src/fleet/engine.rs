@@ -22,10 +22,10 @@
 //!   the critical-point span check ([`fits_span`](EngineState::fits_span))
 //!   equals a per-epoch scan of the candidate's whole span.
 //! * [`LiveFleet::finish`] carves every server's occupancy timeline into
-//!   maximal intervals with an unchanged session set (cut at fault edges),
-//!   runs the data plane over them in parallel, and reduces the results in
-//!   server-major order, so the report is byte-identical for any thread
-//!   count.
+//!   maximal intervals with an unchanged session set (cut at fault edges)
+//!   and runs the data plane over them in parallel, its samples folded per
+//!   worker and merged exactly, so the report is byte-identical for any
+//!   thread count.
 //!
 //! `tests/golden/fleet_sweep.json` pins static [`FleetSpec`] cells on the
 //! simulated data plane; `tests/fleet_engine_determinism.rs` pins a
@@ -34,9 +34,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pictor_apps::App;
+use pictor_apps::{App, AppProfile};
 use pictor_hw::{GpuModel, ServerSpec};
 use pictor_render::contention::contention_states;
 use pictor_render::{CloudSystem, HumanDriver, SystemConfig};
@@ -469,41 +470,31 @@ impl<'a> LiveFleet<'a> {
         let Some(srv) = self.st.srv.get(server) else {
             return Vec::new();
         };
-        let sessions: Vec<(u64, &App)> = srv
+        let mut sessions: Vec<&Seg> = srv
             .live
             .iter()
             .map(|&si| &self.st.segs[si as usize])
             .filter(|seg| !seg.is_void() && seg.start <= epoch && epoch < seg.end)
-            .map(|seg| (seg.session, &seg.app))
             .collect();
-        if sessions.is_empty() {
-            return Vec::new();
-        }
+        sessions.sort_unstable_by_key(|seg| seg.session);
+        let profiles: Vec<&AppProfile> = sessions.iter().map(|seg| &seg.app.profile).collect();
         let config = &self.st.eng.groups[srv.group].config;
-        let result = surrogate_interval(
-            config,
-            self.st.eng.seed,
-            server,
-            epoch,
-            epoch + 1,
-            &sessions,
-        );
-        let mut ids: Vec<u64> = sessions.iter().map(|(id, _)| *id).collect();
-        ids.sort_unstable();
-        ids.iter()
-            .enumerate()
-            .map(|(i, &session)| SessionTelemetry {
-                session,
-                fps: result.fps[0][i],
-                rtt_ms: result.rtt_ms[i][0],
+        let seed = self.st.eng.seed;
+        sessions
+            .iter()
+            .zip(surrogate_rates(config, &profiles))
+            .map(|(seg, (fps, base))| SessionTelemetry {
+                session: seg.session,
+                fps,
+                rtt_ms: surrogate_rtt(seed, server, epoch, seg.session, 0, base),
             })
             .collect()
     }
 
     /// Seals the run: drains every remaining internal arrival, advances to
-    /// the horizon, runs the data plane on `threads` OS threads and reduces
-    /// the report and its audit trace. The result is byte-identical for any
-    /// `threads >= 1`.
+    /// the horizon, runs the data plane on `threads` OS threads (folded per
+    /// worker, merged exactly) and builds the report and its audit trace.
+    /// The result is byte-identical for any `threads >= 1`.
     ///
     /// # Panics
     ///
@@ -831,7 +822,7 @@ struct EngineState<'a> {
     /// Per-server capacity changes `(epoch, new MiB)` in epoch order.
     capacity_steps: Vec<Vec<(u64, u64)>>,
     /// Per-server extra carve boundaries (degradation steps and brownout
-    /// edges), so every data-plane job sees one constant fault state.
+    /// edges), so every data-plane interval sees one constant fault state.
     fault_cuts: Vec<Vec<u64>>,
 }
 
@@ -1832,6 +1823,107 @@ impl<'a> EngineState<'a> {
 
     // -- data plane + reduction ------------------------------------------
 
+    /// Every non-void segment's index, grouped by server and sorted by
+    /// start epoch.
+    fn segments_by_server(&self) -> Vec<Vec<u32>> {
+        let mut by_server: Vec<Vec<u32>> = vec![Vec::new(); self.srv.len()];
+        for (si, seg) in self.segs.iter().enumerate() {
+            if !seg.is_void() {
+                by_server[seg.server].push(si as u32);
+            }
+        }
+        for here in &mut by_server {
+            here.sort_by_key(|&si| self.segs[si as usize].start);
+        }
+        by_server
+    }
+
+    /// Sweeps `server`'s timeline into maximal intervals with one session
+    /// set and one fault state. The boundaries are the start and end of
+    /// every segment in `here` (the server's non-void segments, sorted by
+    /// start) plus the server's fault cuts (degradation steps and brownout
+    /// edges). `f` sees each occupied interval `[start, end)` in time
+    /// order, with its segments in session-id order.
+    fn carve(&self, server: usize, here: &[u32], mut f: impl FnMut(u64, u64, &[u32])) {
+        let segs = &self.segs;
+        let mut bounds: Vec<u64> = here
+            .iter()
+            .flat_map(|&si| [segs[si as usize].start, segs[si as usize].end])
+            .chain(self.fault_cuts[server].iter().copied())
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut active: Vec<u32> = Vec::new();
+        let mut next = here.iter().copied().peekable();
+        for w in bounds.windows(2) {
+            let (start, end) = (w[0], w[1]);
+            active.retain(|&si| segs[si as usize].end > start);
+            while let Some(si) = next.next_if(|&si| segs[si as usize].start == start) {
+                let session = segs[si as usize].session;
+                let at = active.partition_point(|&a| segs[a as usize].session < session);
+                active.insert(at, si);
+            }
+            if !active.is_empty() {
+                f(start, end, &active);
+            }
+        }
+    }
+
+    /// Runs the data plane over every interval of `server` and folds its
+    /// samples into `tally`.
+    fn fold_server(&self, server: usize, here: &[u32], tally: &mut Tally) {
+        let eng = self.eng;
+        let config = &eng.groups[self.srv[server].group].config;
+        self.carve(server, here, |start, end, active| {
+            let mut brownout = Brownout::at(&self.net_windows[server], eng.seed, server, start);
+            match eng.data_plane {
+                DataPlane::Simulated => {
+                    let cap = self.capacity_at(server, start);
+                    let degraded = (cap != self.pristine_mib(server)).then(|| {
+                        let mut c = config.clone();
+                        c.server.gpu_memory_mib = cap;
+                        c
+                    });
+                    let sessions: Vec<(u64, &App)> = active
+                        .iter()
+                        .map(|&si| (self.segs[si as usize].session, &self.segs[si as usize].app))
+                        .collect();
+                    simulate_interval(
+                        degraded.as_ref().unwrap_or(config),
+                        &self.tree,
+                        server,
+                        start,
+                        end,
+                        &sessions,
+                        eng.warmup,
+                        eng.epoch,
+                        brownout,
+                        tally,
+                    );
+                }
+                DataPlane::Surrogate => {
+                    let profiles: Vec<&AppProfile> = active
+                        .iter()
+                        .map(|&si| &self.segs[si as usize].app.profile)
+                        .collect();
+                    let rates = surrogate_rates(config, &profiles);
+                    for &(fps, _) in &rates {
+                        tally.fps(fps, end - start);
+                    }
+                    for (&si, &(_, base)) in active.iter().zip(&rates) {
+                        let session = self.segs[si as usize].session;
+                        for e in start..end {
+                            for k in 0..2 {
+                                let ms = surrogate_rtt(eng.seed, server, e, session, k, base);
+                                tally.rtt(ms, brownout.as_mut());
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
     fn finish(mut self, threads: usize) -> (FleetReport, FleetAudit) {
         let eng = self.eng;
         let epochs = eng.epochs;
@@ -1844,8 +1936,7 @@ impl<'a> EngineState<'a> {
             }
         }
         if self.faults.is_some() {
-            // Unresolved health states account their spans to the horizon,
-            // and fault cuts become sorted sets for the carve below.
+            // Unresolved health states account their spans to the horizon.
             for s in &self.srv {
                 let span = epochs - s.health_since;
                 match s.health {
@@ -1855,169 +1946,40 @@ impl<'a> EngineState<'a> {
                     Health::Healthy | Health::Degraded => {}
                 }
             }
-            for cuts in &mut self.fault_cuts {
-                cuts.sort_unstable();
-                cuts.dedup();
-            }
-        }
-        // Per-server segment history, in admission order.
-        let mut by_server: Vec<Vec<u32>> = vec![Vec::new(); self.srv.len()];
-        for (i, seg) in self.segs.iter().enumerate() {
-            by_server[seg.server].push(i as u32);
         }
 
-        let mut fps = Histogram::new();
-        let mut rtt = Histogram::new();
-        let mut fps_violations = 0u64;
-        let mut rtt_violations = 0u64;
-        let mut fault_rtt_viol = 0u64;
-        let mut session_epochs = 0u64;
-        let mut tracked_inputs = 0u64;
-
-        // Carve each server's timeline into maximal constant-set
-        // occupancy intervals and run the data plane over server chunks.
-        // The reduction is integer counts plus order-free histograms, so
-        // chunking and threads cannot change a byte of it. Fault cuts
-        // (degradation steps and brownout edges) force interval boundaries
-        // so each job sees one capacity and one network impairment.
-        struct Job {
-            server: usize,
-            start: u64,
-            end: u64,
-            segs: Vec<u32>,
-            /// Set when degraded capacity requires a config override.
-            config: Option<SystemConfig>,
-        }
-        let net_windows = &self.net_windows;
-        let mut reduce = |job: &Job, result: &IntervalResult| {
-            for epoch_fps in &result.fps {
-                for &f in epoch_fps {
-                    session_epochs += 1;
-                    fps.record(f);
-                    if f < eng.slo.min_fps {
-                        fps_violations += 1;
-                    }
+        // The data plane, folded per worker and merged exactly: each worker
+        // takes whole servers off a shared counter and folds their
+        // intervals into its own tally. Every tally field is an integer
+        // sum or an order-free histogram, so which worker folds which
+        // server cannot change a byte of the report.
+        let total = self.srv.len();
+        let by_server = self.segments_by_server();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut tally = Tally::new(eng.slo);
+            loop {
+                // The counter only hands out server indices; it publishes
+                // no data, so `Relaxed` is enough.
+                let server = next.fetch_add(1, Ordering::Relaxed);
+                if server >= total {
+                    return tally;
                 }
-            }
-            // Effective brownout impairment for this job — constant across
-            // it because the carve cuts at window edges; overlapping
-            // windows take the worst factor and jitter.
-            let mut factor = 1.0f64;
-            let mut jitter = 0.0f64;
-            for &(s, t, f, j) in &net_windows[job.server] {
-                if s <= job.start && job.start < t {
-                    factor = factor.max(f);
-                    jitter = jitter.max(j);
-                }
-            }
-            if factor > 1.0 || jitter > 0.0 {
-                let mut k = 0u64;
-                for samples in &result.rtt_ms {
-                    for &ms in samples {
-                        let h = mix64(
-                            eng.seed ^ (job.server as u64) << 40 ^ job.start << 20 ^ 0xb10c ^ k,
-                        );
-                        k += 1;
-                        let u = h as f64 / u64::MAX as f64;
-                        let inflated = ms * factor + jitter * u;
-                        rtt.record(inflated);
-                        if inflated > eng.slo.max_rtt_ms {
-                            rtt_violations += 1;
-                            if ms <= eng.slo.max_rtt_ms {
-                                // Would have met the SLO on a healthy path.
-                                fault_rtt_viol += 1;
-                            }
-                        }
-                    }
-                    tracked_inputs += samples.len() as u64;
-                }
-            } else {
-                for samples in &result.rtt_ms {
-                    for &ms in samples {
-                        rtt.record(ms);
-                        if ms > eng.slo.max_rtt_ms {
-                            rtt_violations += 1;
-                        }
-                    }
-                    tracked_inputs += samples.len() as u64;
-                }
+                self.fold_server(server, &by_server[server], &mut tally);
             }
         };
-
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); epochs as usize];
-        for chunk in (0..self.srv.len()).collect::<Vec<_>>().chunks(32) {
-            let mut jobs: Vec<Job> = Vec::new();
-            for &server in chunk {
-                for o in &mut occ {
-                    o.clear();
-                }
-                for &si in &by_server[server] {
-                    let seg = &self.segs[si as usize];
-                    for e in seg.start..seg.end {
-                        occ[e as usize].push(si);
-                    }
-                }
-                let cuts = &self.fault_cuts[server];
-                let mut e = 0usize;
-                while e < epochs as usize {
-                    if occ[e].is_empty() {
-                        e += 1;
-                        continue;
-                    }
-                    let mut end = e + 1;
-                    while end < epochs as usize
-                        && occ[end] == occ[e]
-                        && cuts.binary_search(&(end as u64)).is_err()
-                    {
-                        end += 1;
-                    }
-                    let cap = self.capacity_at(server, e as u64);
-                    let config = (cap != self.pristine_mib(server)).then(|| {
-                        let mut c = eng.groups[self.srv[server].group].config.clone();
-                        c.server.gpu_memory_mib = cap;
-                        c
-                    });
-                    jobs.push(Job {
-                        server,
-                        start: e as u64,
-                        end: end as u64,
-                        segs: occ[e].clone(),
-                        config,
-                    });
-                    e = end;
-                }
+        let mut tally = Tally::new(eng.slo);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.min(total)).map(|_| scope.spawn(work)).collect();
+            for worker in workers {
+                let part = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                tally.merge(&part);
             }
-            let segs = &self.segs;
-            let tree = &self.tree;
-            let srv = &self.srv;
-            let results = crate::suite::run_pool(jobs.len(), threads, |j| {
-                let job = &jobs[j];
-                let config = job
-                    .config
-                    .as_ref()
-                    .unwrap_or(&eng.groups[srv[job.server].group].config);
-                let sessions: Vec<(u64, &App)> = job
-                    .segs
-                    .iter()
-                    .map(|&si| (segs[si as usize].session, &segs[si as usize].app))
-                    .collect();
-                match eng.data_plane {
-                    DataPlane::Simulated => simulate_interval(
-                        config, tree, job.server, job.start, job.end, &sessions, eng.warmup,
-                        eng.epoch,
-                    ),
-                    DataPlane::Surrogate => surrogate_interval(
-                        config, eng.seed, job.server, job.start, job.end, &sessions,
-                    ),
-                }
-            });
-            for (job, result) in jobs.iter().zip(&results) {
-                reduce(job, result);
-            }
-        }
-        self.fl.fault_rtt_violations = fault_rtt_viol;
+        });
+        self.fl.fault_rtt_violations = tally.fault_rtt_violations;
 
-        let total = self.srv.len();
         let occupied: u64 = self.segs.iter().map(|s| s.end - s.start).sum();
         let active_slot_epochs: u64 = self
             .srv
@@ -2082,13 +2044,13 @@ impl<'a> EngineState<'a> {
             rejected: self.rejected,
             peak_sessions: peak as usize,
             utilization: occupied as f64 / slot_epochs as f64,
-            session_epochs,
-            tracked_inputs,
-            fps,
-            rtt,
+            session_epochs: tally.session_epochs,
+            tracked_inputs: tally.tracked_inputs,
+            fps: tally.fps,
+            rtt: tally.rtt,
             slo: eng.slo,
-            fps_violations,
-            rtt_violations,
+            fps_violations: tally.fps_violations,
+            rtt_violations: tally.rtt_violations,
             dynamics,
         };
         let audit = FleetAudit {
@@ -2130,27 +2092,131 @@ impl<'a> EngineState<'a> {
 // data planes
 // ---------------------------------------------------------------------------
 
-/// Measurements of one server interval.
-struct IntervalResult {
-    /// `fps[e][s]`: server FPS of session `s` (instance order: session id
-    /// ascending) during the interval's `e`-th epoch.
-    fps: Vec<Vec<f64>>,
-    /// `rtt_ms[s]`: every RTT tracked for session `s` across the whole
-    /// interval, ms (same instance order).
-    rtt_ms: Vec<Vec<f64>>,
+/// One worker's share of the data plane: the report's FPS and RTT
+/// histograms and its five sample counters. Histogram merge is exact and
+/// every counter is an integer sum, so the tallies of any split of the
+/// servers, merged in any order, are equal.
+struct Tally {
+    slo: SloSpec,
+    fps: Histogram,
+    rtt: Histogram,
+    session_epochs: u64,
+    tracked_inputs: u64,
+    fps_violations: u64,
+    rtt_violations: u64,
+    /// RTT violations that met the SLO before brownout inflation.
+    fault_rtt_violations: u64,
 }
 
-/// Simulates one server interval: warm-up, then one counter window per
-/// epoch through `reset_accounting`/`drain_records`. Records accumulate
-/// across the interval and the input tracker runs once at its end, so an
-/// input sent late in one epoch and answered early in the next still
-/// contributes its RTT — tail latencies are censored only where the
-/// session set actually changes, not at every epoch boundary.
+impl Tally {
+    fn new(slo: SloSpec) -> Self {
+        Tally {
+            slo,
+            fps: Histogram::new(),
+            rtt: Histogram::new(),
+            session_epochs: 0,
+            tracked_inputs: 0,
+            fps_violations: 0,
+            rtt_violations: 0,
+            fault_rtt_violations: 0,
+        }
+    }
+
+    /// Folds `epochs` session-epochs of one session at a constant `fps`.
+    fn fps(&mut self, fps: f64, epochs: u64) {
+        self.fps.record_n(fps, epochs);
+        self.session_epochs += epochs;
+        if fps < self.slo.min_fps {
+            self.fps_violations += epochs;
+        }
+    }
+
+    /// Folds one tracked input's RTT, inflated first by the interval's
+    /// brownout when one is in force.
+    fn rtt(&mut self, ms: f64, brownout: Option<&mut Brownout>) {
+        self.tracked_inputs += 1;
+        let max = self.slo.max_rtt_ms;
+        let Some(b) = brownout else {
+            self.rtt.record(ms);
+            if ms > max {
+                self.rtt_violations += 1;
+            }
+            return;
+        };
+        let inflated = b.inflate(ms);
+        self.rtt.record(inflated);
+        if inflated > max {
+            self.rtt_violations += 1;
+            if ms <= max {
+                // Would have met the SLO on a healthy path.
+                self.fault_rtt_violations += 1;
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &Tally) {
+        self.fps.merge(&other.fps);
+        self.rtt.merge(&other.rtt);
+        self.session_epochs += other.session_epochs;
+        self.tracked_inputs += other.tracked_inputs;
+        self.fps_violations += other.fps_violations;
+        self.rtt_violations += other.rtt_violations;
+        self.fault_rtt_violations += other.fault_rtt_violations;
+    }
+}
+
+/// The network impairment over one interval. It is constant across the
+/// interval because the carve cuts at brownout window edges; overlapping
+/// windows take the worst factor and jitter.
+struct Brownout {
+    factor: f64,
+    jitter_ms: f64,
+    /// Jitter hash key of the interval, `(seed, server, start)`.
+    key: u64,
+    /// Samples inflated so far: the interval's sessions in session-id
+    /// order, each session's samples in time order.
+    k: u64,
+}
+
+impl Brownout {
+    /// The brownout in force on `server` from epoch `start`, if any.
+    fn at(windows: &[(u64, u64, f64, f64)], seed: u64, server: usize, start: u64) -> Option<Self> {
+        let mut factor = 1.0f64;
+        let mut jitter_ms = 0.0f64;
+        for &(s, t, f, j) in windows {
+            if s <= start && start < t {
+                factor = factor.max(f);
+                jitter_ms = jitter_ms.max(j);
+            }
+        }
+        (factor > 1.0 || jitter_ms > 0.0).then_some(Brownout {
+            factor,
+            jitter_ms,
+            key: seed ^ (server as u64) << 40 ^ start << 20 ^ 0xb10c,
+            k: 0,
+        })
+    }
+
+    /// Inflates the interval's next RTT sample.
+    fn inflate(&mut self, ms: f64) -> f64 {
+        let u = mix64(self.key ^ self.k) as f64 / u64::MAX as f64;
+        self.k += 1;
+        ms * self.factor + self.jitter_ms * u
+    }
+}
+
+/// Simulates one server interval and folds it into `tally`: warm-up, then
+/// one counter window per epoch through `reset_accounting`/`drain_records`,
+/// each session's FPS recorded once per epoch. Records accumulate across
+/// the interval and the input tracker runs once at its end, so an input
+/// sent late in one epoch and answered early in the next still contributes
+/// its RTT — tail latencies are censored only where the session set
+/// actually changes, not at every epoch boundary.
 ///
-/// Seeds derive from names (`server-{s}/e{start_epoch}`, sessions by id),
-/// never from execution order, and the instance order is session id
-/// ascending — so the result depends only on (config, tree, server,
-/// interval, session set), never on thread count or job order.
+/// `sessions` come in session-id order, which is the instance order. Seeds
+/// derive from names (`server-{s}/e{start_epoch}`, sessions by id), never
+/// from execution order, so the samples depend only on (config, tree,
+/// server, interval, session set), never on thread count or job order.
 #[allow(clippy::too_many_arguments)]
 fn simulate_interval(
     config: &SystemConfig,
@@ -2161,38 +2227,35 @@ fn simulate_interval(
     sessions: &[(u64, &App)],
     warmup: SimDuration,
     epoch: SimDuration,
-) -> IntervalResult {
+    mut brownout: Option<Brownout>,
+    tally: &mut Tally,
+) {
     let interval_seeds = tree.child_indexed2("server-", server as u64, "/e", start_epoch);
     let mut sys = CloudSystem::new(config.clone(), interval_seeds);
-    // Instance order: session id ascending — stable across policies and
-    // independent of occupancy bookkeeping internals.
-    let mut by_id: Vec<&(u64, &App)> = sessions.iter().collect();
-    by_id.sort_by_key(|(id, _)| *id);
-    for &&(id, app) in &by_id {
+    for &(id, app) in sessions {
         let seeds = interval_seeds.child_indexed("session-", id);
         sys.add_instance(app, Box::new(HumanDriver::from_seeds(app, &seeds)));
     }
     sys.start();
     sys.run_for(warmup);
     sys.reset_accounting();
-    let mut fps = Vec::with_capacity((end_epoch - start_epoch) as usize);
     let mut records = Vec::new();
     for _ in start_epoch..end_epoch {
         sys.run_for(epoch);
         sys.drain_records_into(&mut records);
-        fps.push(sys.reports().iter().map(|r| r.server_fps).collect());
+        for report in sys.reports() {
+            tally.fps(report.server_fps, 1);
+        }
         sys.reset_accounting();
     }
     let tracks = InputTracker::new().analyze(&records);
-    let rtt_ms = (0..by_id.len())
-        .map(|i| {
-            tracks
-                .get(&(i as u32))
-                .map(|t| t.rtt_ms.samples().to_vec())
-                .unwrap_or_default()
-        })
-        .collect();
-    IntervalResult { fps, rtt_ms }
+    for i in 0..sessions.len() {
+        if let Some(track) = tracks.get(&(i as u32)) {
+            for &ms in track.rtt_ms.samples() {
+                tally.rtt(ms, brownout.as_mut());
+            }
+        }
+    }
 }
 
 /// SplitMix64 — the deterministic jitter source for surrogate RTT samples.
@@ -2203,63 +2266,41 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Closed-form data plane: the paper's contention model evaluated once per
-/// interval, FPS from the slower of the contended CPU and GPU stages, RTT
-/// as the pipeline sum with instance-count IPC inflation, two
-/// hash-jittered samples per session-epoch. Pure in (config, seed, server,
-/// interval, session set) — thread-invariant by construction.
-fn surrogate_interval(
-    config: &SystemConfig,
-    seed: u64,
-    server: usize,
-    start: u64,
-    end: u64,
-    sessions: &[(u64, &App)],
-) -> IntervalResult {
-    let mut by_id: Vec<&(u64, &App)> = sessions.iter().collect();
-    by_id.sort_by_key(|(id, _)| *id);
-    let n = by_id.len();
+/// Closed-form data plane, part one: the paper's contention model
+/// evaluated once for the co-resident `profiles` (session-id order).
+/// Returns each session's `(fps, base RTT ms)`: FPS from the slower of the
+/// contended CPU and GPU stages, RTT as the pipeline sum with
+/// instance-count IPC inflation. Both hold for the whole interval.
+fn surrogate_rates(config: &SystemConfig, profiles: &[&AppProfile]) -> Vec<(f64, f64)> {
+    let n = profiles.len();
     let tuning = &config.tuning;
-    let profiles: Vec<_> = by_id.iter().map(|(_, app)| &app.profile).collect();
-    let mults = vec![1.0; n];
-    let states = contention_states(&profiles, tuning, &mults);
+    let states = contention_states(profiles, tuning, &vec![1.0; n]);
     let ipc = 1.0 + tuning.ipc_slope * (n as f64 - 1.0);
     let gpu = config.server.gpu_throughput;
-    let mut per_session_fps = Vec::with_capacity(n);
-    let mut rtt_base = Vec::with_capacity(n);
-    for (st, p) in states.iter().zip(&profiles) {
-        let al_eff = p.al_base_ms / st.app_speed;
-        let rd_eff = p.rd_base_ms * st.rd_cost_mult / gpu;
-        per_session_fps.push(1000.0 / al_eff.max(rd_eff));
-        rtt_base.push(
-            tuning.sp_ms
+    states
+        .iter()
+        .zip(profiles)
+        .map(|(st, p)| {
+            let al_eff = p.al_base_ms / st.app_speed;
+            let rd_eff = p.rd_base_ms * st.rd_cost_mult / gpu;
+            let rtt = tuning.sp_ms
                 + tuning.ps_base_ms * ipc
                 + al_eff
                 + rd_eff
                 + tuning.as_base_ms * ipc
-                + tuning.decode_ms,
-        );
-    }
-    let span = (end - start) as usize;
-    let fps = (0..span).map(|_| per_session_fps.clone()).collect();
-    let rtt_ms = by_id
-        .iter()
-        .enumerate()
-        .map(|(i, (id, _))| {
-            let mut samples = Vec::with_capacity(span * 2);
-            for e in start..end {
-                for k in 0..2u64 {
-                    let h = mix64(
-                        seed ^ (server as u64) << 40 ^ e << 20 ^ id.wrapping_mul(0x1_0001) ^ k,
-                    );
-                    let u = h as f64 / u64::MAX as f64;
-                    samples.push(rtt_base[i] * (0.85 + 0.3 * u));
-                }
-            }
-            samples
+                + tuning.decode_ms;
+            (1000.0 / al_eff.max(rd_eff), rtt)
         })
-        .collect();
-    IntervalResult { fps, rtt_ms }
+        .collect()
+}
+
+/// Closed-form data plane, part two: RTT sample `k` (two per
+/// session-epoch) of `session` on `server` in `epoch`, hash-jittered
+/// within ±15% of `base`. Pure in its arguments, so thread-invariant by
+/// construction.
+fn surrogate_rtt(seed: u64, server: usize, epoch: u64, session: u64, k: u64, base: f64) -> f64 {
+    let h = mix64(seed ^ (server as u64) << 40 ^ epoch << 20 ^ session.wrapping_mul(0x1_0001) ^ k);
+    base * (0.85 + 0.3 * (h as f64 / u64::MAX as f64))
 }
 
 #[cfg(test)]
@@ -2425,7 +2466,7 @@ mod tests {
 
     // -- fault injection --------------------------------------------------
 
-    use super::super::faults::{FaultEvent, FaultPlan, RecoveryConfig};
+    use super::super::faults::{FaultEvent, FaultPlan, Hazard, RecoveryConfig};
     use super::super::FaultKind;
 
     #[test]
@@ -2589,6 +2630,114 @@ mod tests {
         assert!(fl.fault_rtt_violations <= b.rtt_violations);
         // FPS is untouched: brownouts are a network fault.
         assert_eq!(a.fps.p50(), b.fps.p50());
+    }
+
+    /// The per-epoch carve the sweep replaced, kept as its reference: one
+    /// occupancy list per epoch, cut wherever the list changes or a fault
+    /// cut falls. Returns `(start, end, sessions)` per occupied interval,
+    /// sessions in id order.
+    fn occ_carve(st: &EngineState, server: usize) -> Vec<(u64, u64, Vec<u64>)> {
+        let epochs = st.eng.epochs as usize;
+        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); epochs];
+        for (si, seg) in st.segs.iter().enumerate() {
+            if seg.server == server {
+                for e in seg.start..seg.end {
+                    occ[e as usize].push(si as u32);
+                }
+            }
+        }
+        let mut cuts = st.fault_cuts[server].clone();
+        cuts.sort_unstable();
+        let mut out = Vec::new();
+        let mut e = 0;
+        while e < epochs {
+            if occ[e].is_empty() {
+                e += 1;
+                continue;
+            }
+            let mut end = e + 1;
+            while end < epochs && occ[end] == occ[e] && cuts.binary_search(&(end as u64)).is_err() {
+                end += 1;
+            }
+            let mut sessions: Vec<u64> = occ[e]
+                .iter()
+                .map(|&si| st.segs[si as usize].session)
+                .collect();
+            sessions.sort_unstable();
+            out.push((e as u64, end as u64, sessions));
+            e = end;
+        }
+        out
+    }
+
+    #[test]
+    fn sweep_carve_matches_the_per_epoch_reference() {
+        let mut eng = surrogate_engine(Arc::new(super::super::FirstFit));
+        eng.epochs = 48;
+        eng.migration = Some(MigrationConfig {
+            pressure_threshold: 0.5,
+        });
+        eng.backpressure = Some(BackpressureConfig::lobby());
+        eng.faults = Some(FaultPlan {
+            hazards: vec![
+                Hazard {
+                    per_server_epoch: 0.05,
+                    kind: FaultKind::Crash {
+                        drain_epochs: 0,
+                        restart_after_epochs: Some(1),
+                        warmup_epochs: 0,
+                    },
+                },
+                Hazard {
+                    per_server_epoch: 0.05,
+                    kind: FaultKind::GpuDegrade {
+                        severity: 0.5,
+                        recover_after_epochs: Some(3),
+                    },
+                },
+                Hazard {
+                    per_server_epoch: 0.08,
+                    kind: FaultKind::NetBrownout {
+                        rtt_factor: 2.0,
+                        jitter_ms: 20.0,
+                        duration_epochs: 3,
+                    },
+                },
+            ],
+            ..FaultPlan::default()
+        });
+        let mut live = eng.live();
+        live.drain_internal(u64::MAX);
+        live.st.advance_to(eng.epochs);
+        let st = &live.st;
+        // The fleet exercises everything the sweep must get right:
+        // future-start segments from migrations, segments a crash voided,
+        // and cuts from degradation steps and brownout edges.
+        assert!(st.migrations > 0, "no migration");
+        assert!(st.segs.iter().any(Seg::is_void), "no voided segment");
+        assert!(
+            st.capacity_steps.iter().any(|c| !c.is_empty()),
+            "no degrade"
+        );
+        assert!(st.net_windows.iter().any(|w| !w.is_empty()), "no brownout");
+        let mut cut_only = 0;
+        for (server, here) in st.segments_by_server().iter().enumerate() {
+            let mut swept = Vec::new();
+            st.carve(server, here, |start, end, active| {
+                let sessions: Vec<u64> = active
+                    .iter()
+                    .map(|&si| st.segs[si as usize].session)
+                    .collect();
+                swept.push((start, end, sessions));
+            });
+            let reference = occ_carve(st, server);
+            assert_eq!(swept, reference, "server {server}");
+            cut_only += reference
+                .windows(2)
+                .filter(|w| w[0].1 == w[1].0 && w[0].2 == w[1].2)
+                .count();
+        }
+        assert!(cut_only > 0, "no interval ends at a fault cut alone");
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //! interval is simulated as an independent `CloudSystem` (warm-up, then one
 //! counter window per epoch, with RTTs tracked across the whole interval
 //! so epoch boundaries don't censor slow inputs), **in parallel across OS
-//! threads**. The results are reduced in (server, epoch) order.
+//! threads**. The samples are folded per worker and merged exactly.
 //!
 //! Determinism follows the suite runner's discipline: interval seeds derive
 //! from *names* (`server-{s}/e{epoch}`), never from thread identity, and
-//! reduction order is fixed — running a fleet with 1 thread or N threads
-//! emits byte-identical reports (`tests/fleet_determinism.rs` locks this
+//! every merged tally is an integer sum or an order-free histogram —
+//! running a fleet with 1 thread or N threads emits byte-identical reports (`tests/fleet_determinism.rs` locks this
 //! in; `tests/fleet_engine_determinism.rs` extends it to dynamic fleets).
 
 pub mod autoscale;

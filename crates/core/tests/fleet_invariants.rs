@@ -218,7 +218,8 @@ proptest! {
     /// conserved: the admission identities are untouched by faults, every
     /// orphaned or evicted session resolves to exactly one of recovered or
     /// lost, session ids survive recovery without duplication, and the
-    /// shared retry queue keeps its bound.
+    /// shared retry queue keeps its bound. The report does not depend on
+    /// the data plane's thread count.
     #[test]
     fn fault_ledger_balances_under_chaos(
         servers_a in 1usize..4,
@@ -271,6 +272,14 @@ proptest! {
         });
         let (report, audit) = eng.live().finish(2);
         check_tails(&report)?;
+        // The data plane folds per worker and merges exactly: one worker,
+        // or five on 2–6 servers (so some fold little or nothing), give
+        // the same report.
+        for threads in [1, 5] {
+            let other = eng.live().finish(threads).0;
+            prop_assert_eq!(other.metrics(), report.metrics());
+            prop_assert_eq!(&other.dynamics, &report.dynamics);
+        }
         prop_assert_eq!(audit.offered, audit.admitted + audit.rejected + audit.queued);
         prop_assert_eq!(audit.queued, audit.retried + audit.expired);
         prop_assert_eq!(audit.orphaned + audit.evicted, audit.recovered + audit.lost);

@@ -337,20 +337,45 @@ impl Histogram {
     ///
     /// Panics if `x` is NaN, infinite or negative.
     pub fn record(&mut self, x: f64) {
+        self.record_n(x, 1);
+    }
+
+    /// Records `n` observations of `x` at once, the way HdrHistogram's
+    /// `recordValueWithCount` does: the result equals (`==`) `n` calls to
+    /// [`record`](Self::record), and `n = 0` leaves the histogram
+    /// unchanged.
+    ///
+    /// ```
+    /// use pictor_sim::Histogram;
+    /// let mut weighted = Histogram::new();
+    /// weighted.record_n(30.0, 4);
+    /// weighted.record_n(60.0, 0);
+    /// assert_eq!(weighted, [30.0; 4].into_iter().collect());
+    /// assert_eq!((weighted.count(), weighted.max()), (4, 30.0));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN, infinite or negative, even when `n` is zero.
+    #[inline]
+    pub fn record_n(&mut self, x: f64, n: u64) {
         assert!(
             (0.0..f64::INFINITY).contains(&x),
             "histogram records finite nonnegative values, got {x}"
         );
+        if n == 0 {
+            return;
+        }
         // Fold -0.0 into 0.0 so min/max bits cannot depend on order.
         let x = x.abs();
         if x == 0.0 {
-            self.zeros += 1;
+            self.zeros += n;
         } else {
             let b = (x.to_bits() >> KEY_SHIFT) as usize;
             self.cover(b, b);
-            self.counts[b - self.first] += 1;
+            self.counts[b - self.first] += n;
         }
-        self.n += 1;
+        self.n += n;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }

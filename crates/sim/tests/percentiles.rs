@@ -8,7 +8,8 @@
 //! break quantile sketches: constant streams, bimodal mixtures (a density
 //! gap at the median), heavy tails (p99 dominated by rare huge samples),
 //! tiny streams and monotone feeds. The properties below pin what makes it
-//! safe to merge: record order, splits and merge order cannot change a bit.
+//! safe to merge: record order, splits and merge order cannot change a bit,
+//! and a weighted `record_n` is the same as that many single records.
 
 use pictor_sim::rng::{exponential, lognormal_mean_cv};
 use pictor_sim::{Distribution, Histogram, SeedTree};
@@ -207,5 +208,73 @@ proptest! {
             std::panic::catch_unwind(move || h.record(bad)).is_err(),
             "recorded {} without panicking", bad
         );
+    }
+
+    /// `record_n(x, n)` mixed with single records, in any order, equals the
+    /// stream with `n` separate `record(x)` calls — signed zeros included.
+    #[test]
+    fn record_n_equals_repeated_records(
+        keyed in prop::collection::vec((sample(), 0u64..6, any::<u64>(), any::<bool>()), 0..120),
+    ) {
+        let mut repeated = Histogram::new();
+        for &(x, n, _, negate) in &keyed {
+            let x = if negate && x == 0.0 { -0.0 } else { x };
+            for _ in 0..n {
+                repeated.record(x);
+            }
+        }
+        let mut shuffled = keyed.clone();
+        shuffled.sort_by_key(|&(_, _, k, _)| k);
+        let mut weighted = Histogram::new();
+        for (i, &(x, n, _, negate)) in shuffled.iter().enumerate() {
+            let x = if negate && x == 0.0 { -0.0 } else { x };
+            if i % 2 == 0 {
+                weighted.record_n(x, n);
+            } else {
+                for _ in 0..n {
+                    weighted.record(x);
+                }
+            }
+        }
+        prop_assert_eq!(&weighted, &repeated);
+        prop_assert_eq!(weighted.count(), keyed.iter().map(|&(_, n, _, _)| n).sum::<u64>());
+        prop_assert_eq!(weighted.min().to_bits(), repeated.min().to_bits());
+    }
+
+    /// A zero weight leaves any histogram unchanged; an empty one still
+    /// reads 0 for min and max.
+    #[test]
+    fn record_n_with_zero_weight_changes_nothing(
+        xs in prop::collection::vec(sample(), 0..20),
+        x in sample(),
+    ) {
+        let before: Histogram = xs.into_iter().collect();
+        let mut after = before.clone();
+        after.record_n(x, 0);
+        after.record_n(-0.0, 0);
+        prop_assert_eq!(&after, &before);
+        if before.is_empty() {
+            prop_assert_eq!((after.min(), after.max(), after.count()), (0.0, 0.0, 0));
+        }
+    }
+
+    /// NaN, ±infinity and negative values panic in `record_n` for every
+    /// weight, zero included.
+    #[test]
+    fn record_n_rejects_bad_values_even_with_zero_weight(
+        xs in prop::collection::vec(sample(), 0..20),
+        kind in 0usize..4,
+        magnitude in 1e-9f64..1e9,
+        n in 1u64..1000,
+    ) {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -magnitude][kind];
+        let h: Histogram = xs.into_iter().collect();
+        for weight in [0, n] {
+            let mut h = h.clone();
+            prop_assert!(
+                std::panic::catch_unwind(move || h.record_n(bad, weight)).is_err(),
+                "recorded {} x{} without panicking", bad, weight
+            );
+        }
     }
 }

@@ -8,8 +8,8 @@
 //! of seed, plan and fleet shape), fault ops apply in the single-threaded
 //! control loop in (epoch, sequence) order, recovery jitter is hashed
 //! from (seed, session, attempt), and brownout RTT inflation is hashed
-//! per (server, job, sample) during the deterministic server-major
-//! reduction. The golden pins the fault ledger — injections by class,
+//! per (server, interval, sample) while the data plane is folded per
+//! worker, merged exactly. The golden pins the fault ledger — injections by class,
 //! downtime epochs, sessions recovered vs lost, fault-attributed SLO
 //! damage — to exact values; drift means a model change that must be
 //! blessed: `PICTOR_BLESS=1 cargo test --test fleet_chaos_determinism`.

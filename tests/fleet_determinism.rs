@@ -4,8 +4,8 @@
 //!
 //! This is what makes fleet-scale parallel simulation trustworthy —
 //! interval seeds derive from (server, epoch) *names*, placement runs on
-//! one thread, and reduction happens in (server, epoch) order, never
-//! completion order.
+//! one thread, and the data plane is folded per worker, merged exactly,
+//! so completion order cannot show.
 
 use pictor::apps::AppId;
 use pictor::core::fleet::{
