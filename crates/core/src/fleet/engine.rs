@@ -466,6 +466,15 @@ impl<'a> LiveFleet<'a> {
     /// against the server's committed occupancy, so it is a pure function
     /// of the control-plane state (journal replay reproduces it byte for
     /// byte).
+    ///
+    /// The resident set is every non-void segment on `server` that covers
+    /// `epoch`, looked up among the segments still assigned there and
+    /// those that left at boundary [`current_epoch`](Self::current_epoch).
+    /// That is complete for any `epoch >= current_epoch() - 1`, which every
+    /// poll meets: after [`step_to(at_ns)`](Self::step_to), `epoch = at_ns
+    /// / epoch_ns()` satisfies `current_epoch() <= epoch + 1`, because an
+    /// earlier offer at `t <= at_ns` advances the boundary at most to
+    /// `ceil(t / epoch_ns())`.
     pub fn server_telemetry(&self, server: usize, epoch: u64) -> Vec<SessionTelemetry> {
         let Some(srv) = self.st.srv.get(server) else {
             return Vec::new();
@@ -473,8 +482,9 @@ impl<'a> LiveFleet<'a> {
         let mut sessions: Vec<&Seg> = srv
             .live
             .iter()
+            .chain(&self.st.left)
             .map(|&si| &self.st.segs[si as usize])
-            .filter(|seg| !seg.is_void() && seg.start <= epoch && epoch < seg.end)
+            .filter(|seg| seg.server == server && seg.covers(epoch))
             .collect();
         sessions.sort_unstable_by_key(|seg| seg.session);
         let profiles: Vec<&AppProfile> = sessions.iter().map(|seg| &seg.app.profile).collect();
@@ -489,6 +499,31 @@ impl<'a> LiveFleet<'a> {
                 rtt_ms: surrogate_rtt(seed, server, epoch, seg.session, 0, base),
             })
             .collect()
+    }
+
+    /// The telemetry estimate of `session` at `epoch`: `Some` exactly when
+    /// a non-void segment of the session covers `epoch`, evaluated against
+    /// every session resident on that segment's server then (the same
+    /// closed form and resident set as
+    /// [`server_telemetry`](Self::server_telemetry), under the same
+    /// `current_epoch() <= epoch + 1` contract). `None` when the session
+    /// was never admitted, has not started yet, has ended, or is between
+    /// servers in a migration transfer. `session` may be any value: ids
+    /// come off the wire.
+    pub fn session_telemetry(&self, session: u64, epoch: u64) -> Option<SessionTelemetry> {
+        let latest = *usize::try_from(session)
+            .ok()
+            .and_then(|i| self.st.session_seg.get(i))?;
+        // Only the latest segment, or an earlier one cut at boundary
+        // `cur_epoch` (by a migration, or by a fault whose orphan was
+        // already re-placed), can cover `epoch`.
+        let seg = std::iter::once(&latest)
+            .chain(&self.st.left)
+            .map(|&si| &self.st.segs[si as usize])
+            .find(|seg| seg.session == session && seg.covers(epoch))?;
+        self.server_telemetry(seg.server, epoch)
+            .into_iter()
+            .find(|t| t.session == session)
     }
 
     /// Seals the run: drains every remaining internal arrival, advances to
@@ -571,6 +606,11 @@ impl Seg {
     /// placement record.
     fn is_void(&self) -> bool {
         self.end <= self.start
+    }
+
+    /// Occupies epoch `e` (never true of a void segment).
+    fn covers(&self, e: u64) -> bool {
+        self.start <= e && e < self.end
     }
 }
 
@@ -777,6 +817,12 @@ struct EngineState<'a> {
     srv: Vec<Srv>,
     group_range: Vec<(usize, usize)>,
     segs: Vec<Seg>,
+    /// Session id → its latest segment, kept by `admit` and `migrate`.
+    session_seg: Vec<u32>,
+    /// Segments that left `srv.live` at boundary `cur_epoch` (departure,
+    /// migration or `detach_seg`), cleared as each boundary begins: with
+    /// `srv.live` they hold every segment resident at `cur_epoch - 1`.
+    left: Vec<u32>,
     events: EventQueue<FleetEvent>,
     source: ArrivalSource,
     client_rngs: Vec<rand::rngs::SmallRng>,
@@ -958,6 +1004,8 @@ impl<'a> EngineState<'a> {
             srv,
             group_range,
             segs: Vec::new(),
+            session_seg: Vec::new(),
+            left: Vec::new(),
             events,
             source,
             client_rngs,
@@ -1018,7 +1066,7 @@ impl<'a> EngineState<'a> {
             let mut mem = need_mib;
             for &si in &srv.live {
                 let seg = &self.segs[si as usize];
-                if seg.start <= p && p < seg.end {
+                if seg.covers(p) {
                     n += 1;
                     mem += seg.app.profile.gpu_memory_mib;
                 }
@@ -1068,7 +1116,7 @@ impl<'a> EngineState<'a> {
             .live
             .iter()
             .map(|&si| &self.segs[si as usize])
-            .filter(|seg| seg.start <= e && e < seg.end)
+            .filter(|seg| seg.covers(e))
             .map(|seg| seg.app.profile.cpu_pressure + seg.app.profile.gpu_pressure)
             .sum()
     }
@@ -1083,6 +1131,7 @@ impl<'a> EngineState<'a> {
     fn advance_to(&mut self, target: u64) {
         while self.cur_epoch < target {
             let e = self.cur_epoch + 1;
+            self.left.clear();
             while let Some(&Reverse((fe, server, si))) = self.future_starts.peek() {
                 if fe > e {
                     break;
@@ -1118,6 +1167,7 @@ impl<'a> EngineState<'a> {
         match ev {
             FleetEvent::Departure { server, seg } => {
                 self.srv[server].live.retain(|&si| si != seg);
+                self.left.push(seg);
                 self.resident[server] -= 1;
                 self.set_free(server);
             }
@@ -1144,10 +1194,7 @@ impl<'a> EngineState<'a> {
                 self.srv[i]
                     .live
                     .iter()
-                    .filter(|&&si| {
-                        let seg = &self.segs[si as usize];
-                        seg.start <= e && e < seg.end
-                    })
+                    .filter(|&&si| self.segs[si as usize].covers(e))
                     .count()
             })
             .sum();
@@ -1245,6 +1292,7 @@ impl<'a> EngineState<'a> {
         };
         self.events.cancel(old_departure);
         self.srv[src].live.retain(|&si| si != cand_si);
+        self.left.push(cand_si);
         self.resident[src] -= 1;
         self.set_free(src);
         let new_si = self.segs.len() as u32;
@@ -1264,6 +1312,7 @@ impl<'a> EngineState<'a> {
             departure,
         });
         self.srv[tgt].live.push(new_si);
+        self.session_seg[session as usize] = new_si;
         self.future_starts.push(Reverse((e + 1, tgt, new_si)));
         // The session is in transfer during epoch `e`: resident nowhere.
         self.conc_delta[e as usize] -= 1;
@@ -1496,6 +1545,7 @@ impl<'a> EngineState<'a> {
             self.conc_delta[old_end as usize] += 1;
         }
         self.srv[server].live.retain(|&x| x != si);
+        self.left.push(si);
         self.set_free(server);
         let cut = e.max(start);
         (old_end > cut).then(|| (session, app, old_end - cut))
@@ -1513,7 +1563,7 @@ impl<'a> EngineState<'a> {
                     .live
                     .iter()
                     .map(|&si| &self.segs[si as usize])
-                    .filter(|seg| !seg.is_void() && seg.start <= p && p < seg.end)
+                    .filter(|seg| seg.covers(p))
                     .map(|seg| seg.app.profile.gpu_memory_mib)
                     .sum();
                 mem > cap
@@ -1523,7 +1573,7 @@ impl<'a> EngineState<'a> {
                 .live
                 .iter()
                 .map(|&si| (si, &self.segs[si as usize]))
-                .filter(|(_, seg)| !seg.is_void() && seg.start <= p && p < seg.end)
+                .filter(|(_, seg)| seg.covers(p))
                 .map(|(si, seg)| {
                     (
                         si,
@@ -1671,21 +1721,23 @@ impl<'a> EngineState<'a> {
     }
 
     fn admit(&mut self, server: usize, start: u64, end: u64, req: Request) -> u64 {
+        let si = self.segs.len() as u32;
         let id = match req.resume {
             Some(r) => {
                 // A recovered session keeps its identity; its new segment
                 // covers only the service it still had left.
                 self.fl.recovered += 1;
                 self.fl.recovery_latency_epochs += start.saturating_sub(r.orphaned_at);
+                self.session_seg[r.session as usize] = si;
                 r.session
             }
             None => {
                 let id = self.next_session;
                 self.next_session += 1;
+                self.session_seg.push(si);
                 id
             }
         };
-        let si = self.segs.len() as u32;
         let departure = self.events.schedule(
             SimTime::from_nanos(end.saturating_mul(self.eps)),
             FleetEvent::Departure { server, seg: si },
@@ -2738,6 +2790,125 @@ mod tests {
                 .count();
         }
         assert!(cut_only > 0, "no interval ends at a fault cut alone");
+    }
+
+    /// The telemetry every session resident at `epoch` should read, keyed
+    /// by session: the surrogate closed form over every non-void segment
+    /// that covers `epoch`, grouped by server, in session-id order.
+    fn resident_reference(st: &EngineState, epoch: u64) -> Vec<Vec<SessionTelemetry>> {
+        let mut by_server: Vec<Vec<&Seg>> = vec![Vec::new(); st.srv.len()];
+        for seg in &st.segs {
+            if !seg.is_void() && seg.start <= epoch && epoch < seg.end {
+                by_server[seg.server].push(seg);
+            }
+        }
+        by_server
+            .into_iter()
+            .enumerate()
+            .map(|(server, mut here)| {
+                here.sort_unstable_by_key(|seg| seg.session);
+                let profiles: Vec<&AppProfile> = here.iter().map(|seg| &seg.app.profile).collect();
+                let config = &st.eng.groups[st.srv[server].group].config;
+                here.iter()
+                    .zip(surrogate_rates(config, &profiles))
+                    .map(|(seg, (fps, base))| SessionTelemetry {
+                        session: seg.session,
+                        fps,
+                        rtt_ms: surrogate_rtt(st.eng.seed, server, epoch, seg.session, 0, base),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn polls_read_every_segment_resident_at_the_polled_epoch() {
+        use rand::Rng;
+        let mut eng = surrogate_engine(Arc::new(super::super::FirstFit));
+        eng.epochs = 48;
+        eng.migration = Some(MigrationConfig {
+            pressure_threshold: 0.5,
+        });
+        eng.backpressure = Some(BackpressureConfig::lobby());
+        eng.faults = Some(FaultPlan {
+            hazards: vec![
+                Hazard {
+                    per_server_epoch: 0.05,
+                    kind: FaultKind::Crash {
+                        drain_epochs: 0,
+                        restart_after_epochs: Some(1),
+                        warmup_epochs: 0,
+                    },
+                },
+                Hazard {
+                    per_server_epoch: 0.05,
+                    kind: FaultKind::GpuDegrade {
+                        severity: 0.5,
+                        recover_after_epochs: Some(3),
+                    },
+                },
+            ],
+            ..FaultPlan::default()
+        });
+        let mut live = eng.live();
+        let eps = live.epoch_ns();
+        let mut rng = SeedTree::new(19).stream("offers-and-polls");
+        let (mut t, mut polls, mut ahead, mut answered, mut from_cut) = (0u64, 0, 0, 0, 0);
+        // Past the horizon too: the last polls clamp to the final epoch.
+        while t < live.horizon_ns() + 2 * eps {
+            t += rng.gen_range(1..eps / 4);
+            if rng.gen_bool(0.5) {
+                let app = eng.mix.sample(&mut rng);
+                live.offer_arrival(t, app, rng.gen_range(eps..6 * eps));
+                continue;
+            }
+            live.step_to(t);
+            let epoch = (t / eps).min(eng.epochs - 1);
+            assert!(live.current_epoch() <= epoch + 1, "poll contract broken");
+            polls += 1;
+            ahead += usize::from(live.current_epoch() == epoch + 1);
+            let reference = resident_reference(&live.st, epoch);
+            for (server, want) in reference.iter().enumerate() {
+                assert_eq!(
+                    live.server_telemetry(server, epoch),
+                    *want,
+                    "server {server} at epoch {epoch}"
+                );
+            }
+            for session in 0..live.st.next_session {
+                let want = reference.iter().flatten().find(|r| r.session == session);
+                assert_eq!(
+                    live.session_telemetry(session, epoch).as_ref(),
+                    want,
+                    "session {session} at epoch {epoch}"
+                );
+                if want.is_some() {
+                    answered += 1;
+                    let latest = &live.st.segs[live.st.session_seg[session as usize] as usize];
+                    from_cut += usize::from(!latest.covers(epoch));
+                }
+            }
+            for bogus in [live.st.next_session, 1 << 40, u64::MAX] {
+                assert_eq!(live.session_telemetry(bogus, epoch), None);
+            }
+        }
+        let st = &live.st;
+        assert!(
+            polls > 100 && answered > polls,
+            "{polls} polls, {answered} answered"
+        );
+        assert!(
+            ahead > polls / 4,
+            "only {ahead} of {polls} polls saw the engine ahead"
+        );
+        assert!(from_cut > 0, "no poll read a segment cut at the boundary");
+        assert!(st.migrations > 0, "no migration");
+        assert!(st.segs.iter().any(Seg::is_void), "no voided segment");
+        assert!(
+            st.fl.orphaned + st.fl.evicted > 0,
+            "no fault detached a session"
+        );
+        assert_eq!(live.server_telemetry(st.srv.len(), 0), Vec::new());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! `--soak SECS` (requires `--addr`) is the wall-clock soak mode: drive
 //! the swarm against a live daemon for SECS real seconds, then *drain*
 //! it (seal admissions, flush the journal) before sealing — and assert
-//! the daemon's session directory stayed bounded by fleet capacity, the
-//! regression guard for the session-map leak.
+//! the daemon's `tracked` count (its resident sessions) never exceeded
+//! the fleet's slots, the regression guard for a session leak.
 
 use std::time::Instant;
 

@@ -11,6 +11,11 @@
 //! what makes the journal authoritative: the stamped ingress sequence
 //! *is* the run.
 //!
+//! The engines are the only session state. A `Poll` is answered from
+//! its shard's own segments ([`LiveFleet::session_telemetry`]): a session
+//! is known exactly while one of its segments covers the polled epoch,
+//! and every other poll gets `Error { UnknownSession }`.
+//!
 //! # Determinism boundary
 //!
 //! [`ServeCore::handle_frame`] splits each ingress frame into two halves:
@@ -44,8 +49,7 @@
 //! before consuming live ingress — the handover primitive
 //! `tests/serve_drain.rs` proves byte-deterministic.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -162,8 +166,9 @@ pub struct TransportStats {
     pub unauthorized: u64,
     /// `Open`s refused because the daemon was draining.
     pub refused_draining: u64,
-    /// `Poll`s answered with `ErrCode::UnknownSession` (never admitted,
-    /// or already expired out of the routing directory).
+    /// `Poll`s answered with `ErrCode::UnknownSession`: no engine segment
+    /// of the session covers the polled epoch (never admitted, not
+    /// started yet, ended, or between servers in a migration).
     pub unknown_sessions: u64,
 }
 
@@ -236,45 +241,11 @@ fn token_eq(a: &str, b: &str) -> bool {
     diff == 0
 }
 
-/// One shard's deterministic serving state: a [`LiveFleet`] plus the
-/// session routing directory and its expiry heap. All ids are
-/// shard-local; the router globalizes them.
-struct ShardCore<'a> {
-    live: LiveFleet<'a>,
-    /// local session id → (local server, end time ns). Pruned on every
-    /// stamped event that touches the shard — the directory is bounded by
-    /// concurrently-resident sessions, not by run length.
-    sessions: HashMap<u64, (usize, u64)>,
-    /// Min-heap of (end_ns, local session) driving the pruning.
-    expiries: BinaryHeap<Reverse<(u64, u64)>>,
-}
-
-impl<'a> ShardCore<'a> {
-    fn new(engine: &'a FleetEngine) -> Self {
-        ShardCore {
-            live: engine.live(),
-            sessions: HashMap::new(),
-            expiries: BinaryHeap::new(),
-        }
-    }
-
-    /// Evicts every directory entry whose session ended at or before
-    /// `at_ns`. Deterministic: a pure function of the stamped stream.
-    fn prune(&mut self, at_ns: u64) {
-        while let Some(&Reverse((end_ns, session))) = self.expiries.peek() {
-            if end_ns > at_ns {
-                break;
-            }
-            self.expiries.pop();
-            self.sessions.remove(&session);
-        }
-    }
-}
-
 /// The deterministic serving core: the shard router, the ingress ledger,
-/// per-shard [`ShardCore`]s and the optional journal.
+/// one [`LiveFleet`] per shard (ids inside are shard-local; the router
+/// globalizes them) and the optional journal.
 pub struct ServeCore<'a> {
-    cores: Vec<ShardCore<'a>>,
+    cores: Vec<LiveFleet<'a>>,
     clock: SimClock,
     virtual_clock: bool,
     last_ns: u64,
@@ -307,7 +278,7 @@ impl<'a> ServeCore<'a> {
     pub fn new(engines: &'a [FleetEngine], opts: &ServeOptions) -> Self {
         assert!(!engines.is_empty(), "need at least one shard engine");
         let shards = engines.len();
-        let cores: Vec<ShardCore<'a>> = engines.iter().map(ShardCore::new).collect();
+        let cores: Vec<LiveFleet<'a>> = engines.iter().map(FleetEngine::live).collect();
         // Global index space = base groups concatenated; shard s owns the
         // contiguous [s*per, (s+1)*per) span of each group.
         let mut server_maps = vec![Vec::new(); shards];
@@ -327,7 +298,7 @@ impl<'a> ServeCore<'a> {
             opts.record.then(JournalWriter::new)
         };
         ServeCore {
-            epoch_ns: cores[0].live.epoch_ns(),
+            epoch_ns: cores[0].epoch_ns(),
             epochs: engines[0].epochs,
             total_servers: engines.iter().map(|e| e.total_servers() as u64).sum(),
             slots_per_server: engines[0].slots_per_server as u64,
@@ -371,11 +342,6 @@ impl<'a> ServeCore<'a> {
 
     fn shards(&self) -> u64 {
         self.cores.len() as u64
-    }
-
-    /// Sessions currently tracked across every shard's routing directory.
-    fn tracked(&self) -> u64 {
-        self.cores.iter().map(|c| c.sessions.len() as u64).sum()
     }
 
     /// Drops per-connection state (auth) when a transport hangs up.
@@ -474,7 +440,11 @@ impl<'a> ServeCore<'a> {
                     conn,
                     Msg::DrainAck {
                         journaled_events: self.counters.journaled_events,
-                        tracked: self.tracked(),
+                        tracked: self
+                            .cores
+                            .iter()
+                            .map(|live| live.snapshot().resident_sessions as u64)
+                            .sum(),
                     },
                 ));
                 false
@@ -593,9 +563,8 @@ impl<'a> ServeCore<'a> {
                     out.push((*conn, decision(*req, Outcome::UnknownApp)));
                     return false;
                 };
-                let core = &mut self.cores[entry.shard as usize];
-                core.prune(*at_ns);
-                let msg = match core.live.offer_arrival(*at_ns, id.spec(), *duration_ns) {
+                let live = &mut self.cores[entry.shard as usize];
+                let msg = match live.offer_arrival(*at_ns, id.spec(), *duration_ns) {
                     Admission::Admitted {
                         session,
                         server,
@@ -603,9 +572,6 @@ impl<'a> ServeCore<'a> {
                         end_epoch,
                     } => {
                         self.counters.admitted += 1;
-                        let end_ns = end_epoch.saturating_mul(self.epoch_ns);
-                        core.sessions.insert(session, (server, end_ns));
-                        core.expiries.push(Reverse((end_ns, session)));
                         Msg::Decision {
                             req: *req,
                             outcome: Outcome::Admitted,
@@ -637,43 +603,23 @@ impl<'a> ServeCore<'a> {
                 session,
             } => {
                 self.counters.polls += 1;
-                let local = session / nshards;
-                let core = &mut self.cores[entry.shard as usize];
-                core.live.step_to(*at_ns);
-                core.prune(*at_ns);
+                let live = &mut self.cores[entry.shard as usize];
+                live.step_to(*at_ns);
                 let epoch = (*at_ns / self.epoch_ns).min(self.epochs - 1);
-                let msg = match core.sessions.get(&local) {
+                let msg = match live.session_telemetry(session / nshards, epoch) {
+                    Some(t) => Msg::Telemetry {
+                        session: *session,
+                        epoch,
+                        fps: t.fps,
+                        rtt_ms: t.rtt_ms,
+                    },
+                    // Not resident at the polled epoch: a typed error,
+                    // not a fabricated idle sample.
                     None => {
-                        // Never admitted, or expired out of the
-                        // directory: a typed error, not a fabricated
-                        // idle sample.
                         self.transport.unknown_sessions += 1;
                         Msg::Error {
                             code: ErrCode::UnknownSession,
-                            detail: format!("session {session} unknown or expired"),
-                        }
-                    }
-                    Some(&(server, _)) => {
-                        let sample = core
-                            .live
-                            .server_telemetry(server, epoch)
-                            .into_iter()
-                            .find(|t| t.session == local);
-                        match sample {
-                            Some(t) => Msg::Telemetry {
-                                session: *session,
-                                epoch,
-                                fps: t.fps,
-                                rtt_ms: t.rtt_ms,
-                            },
-                            // Resident but not sampled at this server
-                            // (e.g. migrated away): zeros, as before.
-                            None => Msg::Telemetry {
-                                session: *session,
-                                epoch,
-                                fps: 0.0,
-                                rtt_ms: 0.0,
-                            },
+                            detail: format!("session {session} not resident at epoch {epoch}"),
                         }
                     }
                 };
@@ -682,21 +628,22 @@ impl<'a> ServeCore<'a> {
             }
             IngressEvent::Snapshot { conn, at_ns } => {
                 self.counters.snapshots += 1;
-                let mut rep = Msg::SnapshotRep {
-                    epoch: 0,
-                    offered: 0,
-                    admitted: 0,
-                    rejected: 0,
-                    queued_now: 0,
-                    serving: 0,
-                    resident: 0,
-                    tracked: 0,
-                };
-                for core in &mut self.cores {
-                    core.live.step_to(*at_ns);
-                    core.prune(*at_ns);
-                    let s = core.live.snapshot();
-                    if let Msg::SnapshotRep {
+                let (mut epoch, mut offered, mut admitted, mut rejected) = (0, 0, 0, 0);
+                let (mut queued_now, mut serving, mut resident) = (0, 0, 0);
+                for live in &mut self.cores {
+                    live.step_to(*at_ns);
+                    let s = live.snapshot();
+                    epoch = s.epoch;
+                    offered += s.offered;
+                    admitted += s.admitted;
+                    rejected += s.rejected;
+                    queued_now += s.queued_now as u64;
+                    serving += s.serving_servers as u64;
+                    resident += s.resident_sessions as u64;
+                }
+                out.push((
+                    *conn,
+                    Msg::SnapshotRep {
                         epoch,
                         offered,
                         admitted,
@@ -704,20 +651,9 @@ impl<'a> ServeCore<'a> {
                         queued_now,
                         serving,
                         resident,
-                        tracked,
-                    } = &mut rep
-                    {
-                        *epoch = s.epoch;
-                        *offered += s.offered;
-                        *admitted += s.admitted;
-                        *rejected += s.rejected;
-                        *queued_now += s.queued_now as u64;
-                        *serving += s.serving_servers as u64;
-                        *resident += s.resident_sessions as u64;
-                        *tracked += core.sessions.len() as u64;
-                    }
-                }
-                out.push((*conn, rep));
+                        tracked: resident,
+                    },
+                ));
                 false
             }
             IngressEvent::Seal { .. } => {
@@ -733,8 +669,8 @@ impl<'a> ServeCore<'a> {
         let shards: Vec<ShardOutcome> = self
             .cores
             .into_iter()
-            .map(|c| {
-                let (fleet, audit) = c.live.finish(threads);
+            .map(|live| {
+                let (fleet, audit) = live.finish(threads);
                 ShardOutcome { fleet, audit }
             })
             .collect();

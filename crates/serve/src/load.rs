@@ -174,16 +174,20 @@ pub struct LoadReport {
     pub bad_app: u64,
     /// Telemetry polls completed.
     pub polls: u64,
-    /// Polls answered with `ErrCode::UnknownSession` (the session expired
-    /// before the poll landed — a typed error since protocol v2, not a
-    /// fabricated zero sample).
+    /// Polls answered with `ErrCode::UnknownSession`: no segment of the
+    /// session covered the polled epoch (a wall-paced poll, or one from a
+    /// swarm with several connections, stamped outside its session's
+    /// grant, typically after it ended). A typed error since protocol v2,
+    /// not a fabricated zero sample. A virtual-paced swarm on one
+    /// connection polls mid-grant, so it never sees one.
     pub stale_polls: u64,
     /// Fleet snapshots completed.
     pub snapshots: u64,
     /// Peak resident sessions observed across snapshots.
     pub peak_resident: u64,
-    /// Peak daemon routing-directory size observed across snapshots (and
-    /// the drain ack) — the soak mode's boundedness probe.
+    /// Peak `tracked` count observed across snapshots (and the drain
+    /// ack): the engines' resident sessions, which placement bounds by
+    /// the fleet's slots. The soak mode's boundedness probe.
     pub peak_tracked: u64,
     /// Wall time driving the swarm, milliseconds.
     pub wall_ms: f64,
@@ -474,11 +478,12 @@ fn drive<C: Conn + ?Sized>(
                         st.admitted += 1;
                         if spec.poll_every > 0 && st.admitted.is_multiple_of(spec.poll_every) {
                             // Poll mid-session: the grant occupies epochs
-                            // [start_epoch, end_epoch), so an instant
-                            // inside that window is guaranteed to see the
-                            // session's telemetry (polling at admission
-                            // time would land one epoch early — sessions
-                            // start on the *next* boundary).
+                            // [start_epoch, end_epoch), and the engine
+                            // answers a poll at any instant inside it with
+                            // the session's telemetry (polling at admission
+                            // time would land one epoch early and read
+                            // `UnknownSession` — sessions start on the
+                            // *next* boundary).
                             let mid = start_epoch
                                 .saturating_add(end_epoch)
                                 .saturating_mul(epoch_ns)
@@ -574,8 +579,9 @@ fn drive<C: Conn + ?Sized>(
                         st.poll_fps_sum += fps;
                         st.poll_rtt_sum += rtt_ms;
                     }
-                    // Wall-clock jitter can land a poll after its session
-                    // expired; the daemon now says so by name.
+                    // Wall-clock jitter, or another connection's later
+                    // clock, can land a poll after its session ended; the
+                    // daemon says so by name.
                     Msg::Error {
                         code: ErrCode::UnknownSession,
                         ..
@@ -725,8 +731,8 @@ pub fn run_swarm<C: Conn + ?Sized>(
 /// proving the journal hit stable storage), then seals and collects the
 /// report.
 ///
-/// When `drain` is set this also asserts the daemon's routing directory
-/// stayed bounded by the fleet's slot capacity — the session-leak
+/// When `drain` is set this also asserts the daemon's `tracked` count
+/// never exceeded the fleet's slot capacity — the session-leak
 /// regression guard the soak mode exists to enforce.
 pub fn run_swarm_threaded<C, F>(
     make_conn: F,
@@ -800,14 +806,13 @@ where
         serve_json,
     );
     if drain {
-        // The boundedness probe: the routing directory is pruned on
-        // ingress, so it can lag live residency by at most the snapshot
-        // cadence — it must never approach "every session ever admitted".
+        // The boundedness probe: `tracked` counts the engines' resident
+        // sessions, and placement never puts more on a server than it has
+        // slots.
         let capacity = stats[0].servers.saturating_mul(stats[0].slots);
         assert!(
-            report.peak_tracked <= capacity.saturating_mul(2) + 64,
-            "daemon session directory leaked: tracked {} sessions against \
-             {capacity} fleet slots",
+            report.peak_tracked <= capacity,
+            "daemon tracked {} resident sessions against {capacity} fleet slots",
             report.peak_tracked
         );
     }

@@ -165,9 +165,10 @@ pub enum ErrCode {
     Sealed,
     /// The frame failed to decode.
     Malformed,
-    /// A `Poll` named a session the daemon never admitted (or one that
-    /// already expired) — distinguishable from a real idle sample, which
-    /// a fabricated zero-telemetry reply was not.
+    /// A `Poll` named a session no engine segment places at the polled
+    /// epoch: never admitted, not started yet, already ended, or between
+    /// servers in a migration. Distinguishable from a real idle sample,
+    /// which a fabricated zero-telemetry reply was not.
     UnknownSession,
     /// The connection has not presented the daemon's auth token.
     Unauthorized,
@@ -268,13 +269,13 @@ pub enum Msg {
     },
     /// Telemetry reply for one `Poll`.
     Telemetry {
-        /// The polled session (0 when unknown/not resident).
+        /// The polled session.
         session: u64,
         /// The epoch the estimate refers to.
         epoch: u64,
-        /// Estimated server FPS (0 when unknown).
+        /// Estimated server FPS.
         fps: f64,
-        /// Estimated end-to-end RTT, ms (0 when unknown).
+        /// Estimated end-to-end RTT, ms.
         rtt_ms: f64,
     },
     /// Asks for a fleet-wide control-plane snapshot.
@@ -298,8 +299,10 @@ pub enum Msg {
         serving: u64,
         /// Sessions currently resident.
         resident: u64,
-        /// Sessions in the daemon's routing directory (admitted, not yet
-        /// expired) — the soak mode's boundedness probe.
+        /// Sessions resident in the engines: equal to `resident`, since the
+        /// daemon keeps no session directory of its own. Kept so the v2
+        /// layout does not change, until a later protocol bump retires it.
+        /// The soak mode's boundedness probe.
         tracked: u64,
     },
     /// Seals admissions without sealing the run: subsequent `Open`s are
@@ -314,7 +317,10 @@ pub enum Msg {
     DrainAck {
         /// Events journaled (and flushed) so far.
         journaled_events: u64,
-        /// Sessions still tracked by the routing directory.
+        /// Sessions resident in the engines as of the last stamped event
+        /// (the sum of every shard's resident count; see
+        /// `SnapshotRep::tracked`). The drain itself is not stamped, so it
+        /// does not step the engines.
         tracked: u64,
     },
     /// Seals the run: the daemon drains, runs the data plane, and answers

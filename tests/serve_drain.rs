@@ -1,5 +1,5 @@
-//! Drain, handover, auth, and typed-error semantics for the serving
-//! daemon.
+//! Drain, handover, auth, poll and typed-error semantics for the
+//! serving daemon.
 //!
 //! The headline property is **deterministic handover**: a daemon
 //! restarted from *any* clean prefix of a recorded journal
@@ -9,12 +9,14 @@
 //! story — kill the daemon anywhere, recover the journal's clean prefix,
 //! restart, and nothing about the serving record is ambiguous.
 
+use std::collections::HashMap;
 use std::sync::mpsc::channel;
 use std::thread;
 
 use pictor::serve::{
     decode_journal_entries, replay, run_daemon, run_daemon_from, serve_engine, ChannelConn, Conn,
-    ErrCode, IngressEvent, JournalEntry, LoadSpec, Msg, ServeOptions, ServeOutcome,
+    ErrCode, IngressEvent, JournalEntry, LoadSpec, Msg, Outcome, ServeCore, ServeOptions,
+    ServeOutcome, FRAME_HEADER_BYTES,
 };
 
 /// Same probe family as the replay golden: a small oversubscribed fleet
@@ -100,7 +102,8 @@ fn restart_from_any_clean_prefix_matches_replay() {
 
 /// Live drain semantics: `Drain` seals admissions (new `Open`s are
 /// refused with `Draining`, un-journaled), acknowledges with the flushed
-/// journal depth and directory size, and leaves polls/seal working.
+/// journal depth and the resident session count, and leaves polls/seal
+/// working.
 #[test]
 fn drain_refuses_new_sessions_but_keeps_serving() {
     let engine = probe();
@@ -139,7 +142,7 @@ fn drain_refuses_new_sessions_but_keeps_serving() {
                 tracked,
             } => {
                 assert_eq!(journaled_events, 1, "one open was journaled before drain");
-                assert_eq!(tracked, 1, "the admitted session is tracked");
+                assert_eq!(tracked, 1, "the admitted session is resident");
             }
             other => panic!("expected DrainAck, got {other:?}"),
         }
@@ -278,8 +281,9 @@ fn auth_token_gates_every_frame() {
 }
 
 /// Unknown-session polls get the typed v2 error (and a transport-side
-/// count), not a fabricated zero-telemetry sample; expired sessions are
-/// pruned from the directory and answer the same way.
+/// count), not a fabricated zero-telemetry sample; a session polled after
+/// it ended has no engine segment at the polled epoch and answers the
+/// same way.
 #[test]
 fn unknown_and_expired_sessions_answer_by_name() {
     let engine = probe();
@@ -309,8 +313,8 @@ fn unknown_and_expired_sessions_answer_by_name() {
             other => panic!("expected UnknownSession, got {other:?}"),
         }
 
-        // A real session, polled long after it expired: the directory
-        // has pruned it, so it answers identically to a bogus id.
+        // A real session, polled long after it ended: no segment of it
+        // covers the polled epoch, so it answers identically to a bogus id.
         conn.send(&Msg::Open {
             req: 1,
             at_ns: 0,
@@ -350,4 +354,187 @@ fn unknown_and_expired_sessions_answer_by_name() {
     // shape, not a change to the deterministic serving record.
     assert_eq!(outcome.report.ingress.polls, 2);
     assert!(outcome.report.decisions_balance());
+}
+
+const EPOCH_NS: u64 = 250_000_000;
+
+/// Sends `msg` straight through `core` from connection 1 and returns its
+/// one reply.
+fn ask(core: &mut ServeCore<'_>, msg: &Msg) -> Msg {
+    let mut out = Vec::new();
+    core.handle_frame(1, &msg.encode_frame()[FRAME_HEADER_BYTES..], &mut out);
+    assert_eq!(out.len(), 1, "one reply to {msg:?}");
+    out.pop().expect("reply").1
+}
+
+/// Offers `STK` for `duration_ns` at `at_ns` and returns the grant
+/// `(session, start_epoch, end_epoch)` when admitted.
+fn grant(
+    core: &mut ServeCore<'_>,
+    req: u64,
+    at_ns: u64,
+    duration_ns: u64,
+) -> Option<(u64, u64, u64)> {
+    let open = Msg::Open {
+        req,
+        at_ns,
+        duration_ns,
+        app_code: "STK".into(),
+    };
+    match ask(core, &open) {
+        Msg::Decision {
+            outcome: Outcome::Admitted,
+            session,
+            start_epoch,
+            end_epoch,
+            ..
+        } => Some((session, start_epoch, end_epoch)),
+        Msg::Decision { .. } => None,
+        other => panic!("expected Decision, got {other:?}"),
+    }
+}
+
+fn hello_core(engines: &[pictor::core::fleet::FleetEngine]) -> ServeCore<'_> {
+    let mut core = ServeCore::new(engines, &base_opts());
+    let hello = Msg::Hello {
+        client: 1,
+        token: String::new(),
+    };
+    assert!(matches!(ask(&mut core, &hello), Msg::HelloAck { .. }));
+    core
+}
+
+/// A poll reads the engine's own segments. A session resident in the
+/// polled epoch gets real telemetry even after another `Open` in that
+/// epoch moved the engine to the next boundary, where the polled session
+/// already left its server. A session polled before its start epoch is
+/// unknown. Neither reply is a made-up zero sample.
+#[test]
+fn polls_read_the_engine_even_after_it_moved_ahead() {
+    let engines = [probe()];
+    let mut core = hello_core(&engines);
+    let (one_epoch, start, end) = grant(&mut core, 1, 0, EPOCH_NS).expect("admitted");
+    assert_eq!((start, end), (0, 1), "a one-epoch session");
+    // Starts at boundary 1, so the engine steps there and `one_epoch`
+    // departs.
+    let (_, later_start, _) = grant(&mut core, 2, 100_000_000, 2_000_000_000).expect("admitted");
+    assert_eq!(later_start, 1);
+    match ask(
+        &mut core,
+        &Msg::Poll {
+            at_ns: 200_000_000,
+            session: one_epoch,
+        },
+    ) {
+        Msg::Telemetry {
+            session,
+            epoch,
+            fps,
+            rtt_ms,
+        } => {
+            assert_eq!((session, epoch), (one_epoch, 0));
+            assert!(
+                fps > 0.0 && rtt_ms > 0.0,
+                "made-up sample: {fps} fps, {rtt_ms} ms"
+            );
+        }
+        other => panic!("expected Telemetry, got {other:?}"),
+    }
+
+    // Offered at 300 ms, so it starts at boundary 2: unknown in epoch 1,
+    // telemetry from epoch 2 on.
+    let (pending, start, _) = grant(&mut core, 3, 300_000_000, EPOCH_NS).expect("admitted");
+    assert_eq!(start, 2);
+    let early = Msg::Poll {
+        at_ns: 300_000_000,
+        session: pending,
+    };
+    match ask(&mut core, &early) {
+        Msg::Error {
+            code: ErrCode::UnknownSession,
+            detail,
+        } => assert!(detail.contains(&pending.to_string()), "{detail}"),
+        other => panic!("expected UnknownSession, got {other:?}"),
+    }
+    let started = Msg::Poll {
+        at_ns: 2 * EPOCH_NS,
+        session: pending,
+    };
+    assert!(
+        matches!(ask(&mut core, &started), Msg::Telemetry { fps, .. } if fps > 0.0),
+        "a started session reads"
+    );
+}
+
+/// Over a seeded random Open/Poll stream: every poll inside its session's
+/// grant reads telemetry and every other poll is unknown, and two polls
+/// of one session strictly inside one epoch answer identically however
+/// far earlier offers moved the engine in between.
+#[test]
+fn polls_inside_a_grant_read_and_repeat_within_the_epoch() {
+    let engines = [probe()];
+    let horizon_ns = engines[0].epochs * EPOCH_NS;
+    let mut core = hello_core(&engines);
+    // SplitMix64.
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut granted: Vec<(u64, u64, u64)> = Vec::new();
+    let mut first: HashMap<(u64, u64), Msg> = HashMap::new();
+    let (mut t, mut req, mut inside, mut outside, mut repeats) = (0u64, 0u64, 0, 0, 0);
+    loop {
+        t += next() % (EPOCH_NS / 16);
+        if t >= horizon_ns {
+            break;
+        }
+        if granted.is_empty() || next() % 2 == 0 {
+            req += 1;
+            let duration_ns = EPOCH_NS / 2 + next() % (4 * EPOCH_NS);
+            granted.extend(grant(&mut core, req, t, duration_ns));
+            continue;
+        }
+        // Mostly recent grants, so most polls land inside one.
+        let recent = &granted[granted.len().saturating_sub(12)..];
+        let (session, start, end) = recent[(next() % recent.len() as u64) as usize];
+        let epoch = t / EPOCH_NS;
+        let reply = ask(&mut core, &Msg::Poll { at_ns: t, session });
+        if start <= epoch && epoch < end {
+            inside += 1;
+            assert!(
+                matches!(reply, Msg::Telemetry { session: s, epoch: e, fps, rtt_ms }
+                    if s == session && e == epoch && fps > 0.0 && rtt_ms > 0.0),
+                "session {session} granted [{start}, {end}) polled at epoch {epoch}: {reply:?}"
+            );
+        } else {
+            outside += 1;
+            assert!(
+                matches!(
+                    reply,
+                    Msg::Error {
+                        code: ErrCode::UnknownSession,
+                        ..
+                    }
+                ),
+                "session {session} granted [{start}, {end}) polled at epoch {epoch}: {reply:?}"
+            );
+        }
+        if t % EPOCH_NS != 0 {
+            if let Some(prev) = first.insert((session, epoch), reply.clone()) {
+                repeats += 1;
+                assert_eq!(
+                    prev, reply,
+                    "session {session} epoch {epoch} changed within the epoch"
+                );
+            }
+        }
+    }
+    assert!(
+        inside > 100 && outside > 0 && repeats > 50,
+        "{inside} polls inside a grant, {outside} outside, {repeats} repeats"
+    );
 }

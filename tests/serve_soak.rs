@@ -1,13 +1,13 @@
 //! In-process soak: a multi-driver swarm drives the daemon through the
 //! full graceful-shutdown path (drive → drain → seal) and the
-//! session-directory boundedness guard.
+//! resident-session boundedness guard.
 //!
 //! The wall-clock variant of this flow is `pictor-load --soak` against a
 //! live TCP daemon (CI runs it); this test runs the identical code path
 //! on a virtual clock so it finishes in milliseconds and runs on every
 //! `cargo test`. The boundedness assertion itself lives inside
-//! `run_swarm_threaded` — a leaked session directory panics the swarm,
-//! which is exactly the regression this PR fixes.
+//! `run_swarm_threaded`: a `tracked` count above the fleet's slots (a
+//! session leak) panics the swarm.
 
 use std::sync::mpsc::channel;
 use std::thread;
@@ -52,10 +52,10 @@ fn multi_driver_drain_soak_stays_bounded() {
     assert_eq!(outcome.report.ingress.opens, load.requests);
     assert_eq!(outcome.report.ingress.polls, load.polls + load.stale_polls);
     assert!(outcome.report.decisions_balance());
-    // The directory was actually watched (snapshots ran) and stayed
+    // The resident count was actually watched (snapshots ran) and stayed
     // bounded — `run_swarm_threaded` already asserted the bound; here we
     // pin that the probe saw real data.
-    assert!(load.snapshots > 0, "soak never snapshotted the directory");
+    assert!(load.snapshots > 0, "soak never snapshotted the daemon");
     assert!(
         load.peak_tracked > 0,
         "soak never observed a tracked session"
