@@ -1,9 +1,10 @@
 //! Shared ML hot-loop fixtures for the criterion microbenches and the
-//! perf-trajectory reporter (`perf_report`).
+//! kernel check at benchmark shapes (`tests/fixture_kernels.rs`).
 //!
-//! Both surfaces report under the same benchmark names
-//! (`conv_forward_cells_b32`, `lstm_seq_t6_b16`, …), so they must measure
-//! the *same* workload — shapes, seeds and fill patterns live here once.
+//! The test proves the optimized kernels bit-equal to their references on
+//! exactly the inputs the microbenches time (`conv_forward_cells_b32`,
+//! `lstm_infer_seq_t6_b16`, …) — shapes, seeds and fill patterns live
+//! here once.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -51,13 +52,4 @@ pub fn lstm_fixture() -> (Lstm, Vec<Matrix>) {
 pub fn lstm_d_h() -> Matrix {
     let mut rng = SmallRng::seed_from_u64(9);
     Matrix::xavier(16, 24, &mut rng)
-}
-
-/// Panics if any value in `values` is non-finite — the perf surfaces run
-/// this over their benched outputs so CI perf-smoke fails on numeric
-/// corruption, not just on panics.
-pub fn assert_all_finite(name: &str, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        assert!(v.is_finite(), "{name}: non-finite output at index {i}: {v}");
-    }
 }

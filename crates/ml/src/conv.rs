@@ -408,7 +408,7 @@ impl Conv2d {
 
     // ------------------------------------------------------------------
     // Reference kernels: the seed's scalar loops, kept for equivalence
-    // tests and the committed perf trajectory (`perf_report`).
+    // tests and the criterion microbenches.
     // ------------------------------------------------------------------
 
     /// The seed's 7-deep scalar-loop forward (pre-activation, bias

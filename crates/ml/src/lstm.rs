@@ -498,8 +498,8 @@ impl Lstm {
 
     /// The seed's full training step (forward with per-step `clone()`
     /// caches + BPTT on naive matmuls), kept as the reference
-    /// implementation for equivalence tests and perf baselines. Returns
-    /// `(h_last, dxs, dwx, dwh, db)` without touching the layer's state.
+    /// implementation for equivalence tests. Returns `(h_last, dxs, dwx,
+    /// dwh, db)` without touching the layer's state.
     #[allow(clippy::type_complexity)]
     pub fn train_seq_reference(
         &self,

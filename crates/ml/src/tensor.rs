@@ -354,8 +354,8 @@ impl Matrix {
     }
 
     /// The seed repository's naive triple-loop product, kept as the
-    /// reference implementation for kernel-equivalence tests and perf
-    /// baselines (`perf_report`, `BENCH_03.json`).
+    /// reference implementation the kernel-equivalence tests hold
+    /// [`Matrix::matmul`] to, bit for bit.
     pub fn matmul_reference(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,

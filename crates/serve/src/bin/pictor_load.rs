@@ -3,12 +3,11 @@
 //! Drives a serving daemon with a closed-loop population, an optional
 //! open-loop Poisson stream (flat or ramping) and an optional flash
 //! crowd, then seals the run and reports achieved throughput plus
-//! admit-latency tails (`pictor-serve-load/v1`).
+//! admit-latency tails (`pictor-serve-load/v2`).
 //!
 //! ```text
 //! pictor-load --addr HOST:PORT [swarm flags...]          # against a live daemon
-//! pictor-load --in-process [swarm flags...] [engine flags...]
-//! pictor-load --full [--out BENCH_09.json]               # the committed benchmark
+//! pictor-load [swarm flags...] [engine flags...]         # daemon + swarm in one process
 //! ```
 //!
 //! Swarm flags: `--clients N`, `--rate R` (open-loop req/s), `--ramp R2`
@@ -29,8 +28,8 @@
 //! `--soak SECS` (requires `--addr`) is the wall-clock soak mode: drive
 //! the swarm against a live daemon for SECS real seconds, then *drain*
 //! it (seal admissions, flush the journal) before sealing — and assert
-//! the daemon's `tracked` count (its resident sessions) never exceeded
-//! the fleet's slots, the regression guard for a session leak.
+//! that no snapshot saw more resident sessions than the fleet has slots,
+//! the regression guard for a session leak.
 
 use std::time::Instant;
 
@@ -76,30 +75,19 @@ fn main() {
                 .unwrap_or_else(|_| panic!("{flag} wants a number, got {v}"))
         })
     };
-    let full = args.iter().any(|a| a == "--full");
-
-    // The committed BENCH_09 configuration: a 4096-slot fleet saturated
-    // by a 10k-client population plus a 2k flash crowd — far more demand
-    // than capacity, so admission control, parking and retries all carry
-    // real load while the control plane is measured end to end.
-    let (d_clients, d_servers, d_slots, d_secs, d_epochs, d_flash) = if full {
-        (10_000, 512, 8, 120, 150, "2000@60".to_string())
-    } else {
-        let secs = measured_secs().clamp(1, 600);
-        (256, 16, 4, secs, secs + 30, "0@0".to_string())
-    };
+    let default_secs = measured_secs().clamp(1, 600);
 
     let mut spec = LoadSpec::closed(
-        parse("--clients", d_clients) as usize,
-        parse("--secs", d_secs),
+        parse("--clients", 256) as usize,
+        parse("--secs", default_secs),
         parse("--seed", master_seed()),
     );
-    spec.open_rate_per_sec = parse_f("--rate", if full { 50.0 } else { 0.0 });
+    spec.open_rate_per_sec = parse_f("--rate", 0.0);
     spec.open_rate_end_per_sec = value("--ramp").map(|v| {
         v.parse()
             .unwrap_or_else(|_| panic!("--ramp wants a number, got {v}"))
     });
-    let flash = value("--flash").unwrap_or(d_flash);
+    let flash = value("--flash").unwrap_or_else(|| "0@0".into());
     let (burst, at) = flash
         .split_once('@')
         .unwrap_or_else(|| panic!("--flash wants BURST@SECS, got {flash}"));
@@ -166,11 +154,11 @@ fn main() {
         }
     } else {
         assert!(soak.is_none(), "--soak drives a live daemon; pass --addr");
-        let servers = parse("--servers", d_servers) as usize;
+        let servers = parse("--servers", 16) as usize;
         let engine = serve_engine(
             servers,
-            parse("--slots", d_slots) as usize,
-            parse("--epochs", d_epochs),
+            parse("--slots", 4) as usize,
+            parse("--epochs", default_secs + 30),
             parse("--epoch-ms", 1000),
             spec.seed,
             parse("--queue", (servers * 2) as u64) as usize,
@@ -212,14 +200,8 @@ fn main() {
         report.achieved_rps,
     );
     println!(
-        "decisions: {} admitted, {} rejected, {} parked, {} past-horizon; peak resident {}, \
-         peak tracked {}",
-        report.admitted,
-        report.rejected,
-        report.parked,
-        report.past_horizon,
-        report.peak_resident,
-        report.peak_tracked,
+        "decisions: {} admitted, {} rejected, {} parked, {} past-horizon; peak resident {}",
+        report.admitted, report.rejected, report.parked, report.past_horizon, report.peak_resident,
     );
     if report.drivers > 1 || report.stale_polls > 0 {
         println!(
@@ -231,14 +213,4 @@ fn main() {
         "admit latency: p50 {:.1} us, p95 {:.1} us, p99 {:.1} us, max {:.1} us",
         report.admit_p50_us, report.admit_p95_us, report.admit_p99_us, report.admit_max_us,
     );
-    if full {
-        assert!(
-            spec.clients >= 10_000,
-            "--full must drive >= 10k concurrent synthetic clients"
-        );
-        assert!(
-            report.requests > 0 && report.admitted > 0,
-            "full run served nothing"
-        );
-    }
 }

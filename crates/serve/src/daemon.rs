@@ -440,11 +440,6 @@ impl<'a> ServeCore<'a> {
                     conn,
                     Msg::DrainAck {
                         journaled_events: self.counters.journaled_events,
-                        tracked: self
-                            .cores
-                            .iter()
-                            .map(|live| live.snapshot().resident_sessions as u64)
-                            .sum(),
                     },
                 ));
                 false
@@ -651,7 +646,6 @@ impl<'a> ServeCore<'a> {
                         queued_now,
                         serving,
                         resident,
-                        tracked: resident,
                     },
                 ));
                 false

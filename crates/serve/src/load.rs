@@ -57,7 +57,7 @@ use crate::protocol::{ErrCode, Msg, Outcome, WireError};
 use crate::transport::{ChannelConn, Conn};
 
 /// Schema identifier of the load-side JSON document.
-pub const LOAD_SCHEMA: &str = "pictor-serve-load/v1";
+pub const LOAD_SCHEMA: &str = "pictor-serve-load/v2";
 
 /// Swarm shape: populations, rates, cadences, seed.
 #[derive(Debug, Clone)]
@@ -183,12 +183,10 @@ pub struct LoadReport {
     pub stale_polls: u64,
     /// Fleet snapshots completed.
     pub snapshots: u64,
-    /// Peak resident sessions observed across snapshots.
+    /// Peak resident sessions observed across snapshots: the engines'
+    /// resident sessions, which placement bounds by the fleet's slots.
+    /// The soak mode's boundedness probe.
     pub peak_resident: u64,
-    /// Peak `tracked` count observed across snapshots (and the drain
-    /// ack): the engines' resident sessions, which placement bounds by
-    /// the fleet's slots. The soak mode's boundedness probe.
-    pub peak_tracked: u64,
     /// Wall time driving the swarm, milliseconds.
     pub wall_ms: f64,
     /// Achieved round-trips per wall-second (requests + polls +
@@ -211,7 +209,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Serializes as `pictor-serve-load/v1` JSON, embedding the daemon
+    /// Serializes as `pictor-serve-load/v2` JSON, embedding the daemon
     /// report under `"serve"`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -234,7 +232,6 @@ impl LoadReport {
         let _ = writeln!(out, "  \"stale_polls\": {},", self.stale_polls);
         let _ = writeln!(out, "  \"snapshots\": {},", self.snapshots);
         let _ = writeln!(out, "  \"peak_resident\": {},", self.peak_resident);
-        let _ = writeln!(out, "  \"peak_tracked\": {},", self.peak_tracked);
         let _ = writeln!(out, "  \"wall_ms\": {},", json_num(self.wall_ms));
         let _ = writeln!(out, "  \"achieved_rps\": {},", json_num(self.achieved_rps));
         let _ = writeln!(out, "  \"admit_p50_us\": {},", json_num(self.admit_p50_us));
@@ -264,13 +261,13 @@ impl LoadReport {
         let mut out = String::new();
         out.push_str(
             "schema,mode,pace,clients,flash_burst,secs,seed,drivers,requests,admitted,rejected,\
-             parked,past_horizon,bad_app,polls,stale_polls,snapshots,peak_resident,peak_tracked,\
+             parked,past_horizon,bad_app,polls,stale_polls,snapshots,peak_resident,\
              wall_ms,achieved_rps,\
              admit_p50_us,admit_p95_us,admit_p99_us,admit_max_us,poll_fps_mean,poll_rtt_mean_ms\n",
         );
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             csv_field(LOAD_SCHEMA),
             csv_field(&self.mode),
             csv_field(&self.pace),
@@ -289,7 +286,6 @@ impl LoadReport {
             self.stale_polls,
             self.snapshots,
             self.peak_resident,
-            self.peak_tracked,
             json_num(self.wall_ms),
             json_num(self.achieved_rps),
             json_num(self.admit_p50_us),
@@ -333,7 +329,6 @@ struct DriverStats {
     stale_polls: u64,
     snapshots: u64,
     peak_resident: u64,
-    peak_tracked: u64,
     poll_fps_sum: f64,
     poll_rtt_sum: f64,
     /// Admit latency (open → decision round-trip), microseconds.
@@ -592,12 +587,9 @@ fn drive<C: Conn + ?Sized>(
             Ev::Snap => {
                 conn.send(&Msg::Snapshot { at_ns: t })?;
                 match conn.recv()? {
-                    Msg::SnapshotRep {
-                        resident, tracked, ..
-                    } => {
+                    Msg::SnapshotRep { resident, .. } => {
                         st.snapshots += 1;
                         st.peak_resident = st.peak_resident.max(resident);
-                        st.peak_tracked = st.peak_tracked.max(tracked);
                     }
                     other => return Err(unexpected("SnapshotRep", &other)),
                 }
@@ -616,14 +608,12 @@ fn drive<C: Conn + ?Sized>(
 
 /// Builds the merged [`LoadReport`] from per-driver stats (in driver
 /// index order) and the sealed daemon JSON.
-#[allow(clippy::too_many_arguments)]
 fn merge_report(
     spec: &LoadSpec,
     stats: &[DriverStats],
     mode: &str,
     pace: &str,
     wall: std::time::Duration,
-    peak_tracked_extra: u64,
     serve_json: String,
 ) -> LoadReport {
     let sum = |f: fn(&DriverStats) -> u64| stats.iter().map(f).sum::<u64>();
@@ -653,12 +643,6 @@ fn merge_report(
         stale_polls: sum(|s| s.stale_polls),
         snapshots,
         peak_resident: stats.iter().map(|s| s.peak_resident).max().unwrap_or(0),
-        peak_tracked: stats
-            .iter()
-            .map(|s| s.peak_tracked)
-            .max()
-            .unwrap_or(0)
-            .max(peak_tracked_extra),
         wall_ms: wall.as_secs_f64() * 1e3,
         achieved_rps: round_trips as f64 / wall.as_secs_f64().max(1e-9),
         admit_p50_us: admit_us.p50(),
@@ -718,7 +702,6 @@ pub fn run_swarm<C: Conn + ?Sized>(
         mode,
         pace,
         started.elapsed(),
-        0,
         serve_json,
     ))
 }
@@ -731,8 +714,8 @@ pub fn run_swarm<C: Conn + ?Sized>(
 /// proving the journal hit stable storage), then seals and collects the
 /// report.
 ///
-/// When `drain` is set this also asserts the daemon's `tracked` count
-/// never exceeded the fleet's slot capacity — the session-leak
+/// When `drain` is set this also asserts that no snapshot saw more
+/// resident sessions than the fleet has slots — the session-leak
 /// regression guard the soak mode exists to enforce.
 pub fn run_swarm_threaded<C, F>(
     make_conn: F,
@@ -781,11 +764,10 @@ where
     }
 
     // Every driver is done; driver 0's connection winds the run down.
-    let mut drain_tracked = 0u64;
     if drain {
         conn0.send(&Msg::Drain { at_ns: 0 })?;
         match conn0.recv()? {
-            Msg::DrainAck { tracked, .. } => drain_tracked = tracked,
+            Msg::DrainAck { .. } => {}
             other => return Err(unexpected("DrainAck", &other)),
         }
     }
@@ -796,24 +778,15 @@ where
         other => return Err(unexpected("Report", &other)),
     };
     let pace = if virtual_pace { "virtual" } else { "wall" };
-    let report = merge_report(
-        spec,
-        &stats,
-        mode,
-        pace,
-        started.elapsed(),
-        drain_tracked,
-        serve_json,
-    );
+    let report = merge_report(spec, &stats, mode, pace, started.elapsed(), serve_json);
     if drain {
-        // The boundedness probe: `tracked` counts the engines' resident
-        // sessions, and placement never puts more on a server than it has
-        // slots.
+        // The boundedness probe: placement never puts more sessions on a
+        // server than it has slots.
         let capacity = stats[0].servers.saturating_mul(stats[0].slots);
         assert!(
-            report.peak_tracked <= capacity,
-            "daemon tracked {} resident sessions against {capacity} fleet slots",
-            report.peak_tracked
+            report.peak_resident <= capacity,
+            "daemon held {} resident sessions against {capacity} fleet slots",
+            report.peak_resident
         );
     }
     Ok(report)

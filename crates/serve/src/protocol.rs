@@ -22,14 +22,17 @@ use std::fmt;
 
 /// Protocol version carried in every frame.
 ///
-/// Version history: v1 was the PR-9 protocol (no auth, no drain, zero
-/// telemetry for unknown sessions). v2 adds the `Hello` auth token, the
-/// `Drain`/`DrainAck` lifecycle pair, the `UnknownSession` /
-/// `Unauthorized` / `Draining` error codes, and the shard/slot fields in
-/// `HelloAck` and the `tracked` field in `SnapshotRep`. v1 frames are
-/// rejected with [`WireError::UnknownVersion`] — the payload layouts
-/// changed, so silently accepting them would misparse.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Version history: v1 had no auth, no drain and answered a poll for an
+/// unknown session with zero telemetry. v2 added the `Hello` auth token,
+/// the `Drain`/`DrainAck` lifecycle pair, the `UnknownSession` /
+/// `Unauthorized` / `Draining` error codes, the shard/slot fields in
+/// `HelloAck` and a `tracked` field in `SnapshotRep` and `DrainAck`. v3
+/// drops `tracked` from both: in `SnapshotRep` it always repeated
+/// `resident`, and in `DrainAck` it was stale, because a drain is not
+/// stamped and does not step the engines. Frames of any other version
+/// are rejected with [`WireError::UnknownVersion`] — the payload layouts
+/// differ, so silently accepting them would misparse.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard ceiling on the framed body size (version + type + payload).
 /// Generous for every real message (the largest is `Report`, a few KiB of
@@ -297,13 +300,9 @@ pub enum Msg {
         queued_now: u64,
         /// Servers currently serving.
         serving: u64,
-        /// Sessions currently resident.
+        /// Sessions resident in the engines (every shard's sum). The soak
+        /// mode's boundedness probe.
         resident: u64,
-        /// Sessions resident in the engines: equal to `resident`, since the
-        /// daemon keeps no session directory of its own. Kept so the v2
-        /// layout does not change, until a later protocol bump retires it.
-        /// The soak mode's boundedness probe.
-        tracked: u64,
     },
     /// Seals admissions without sealing the run: subsequent `Open`s are
     /// refused with `Error { Draining }` while polls and snapshots keep
@@ -317,11 +316,6 @@ pub enum Msg {
     DrainAck {
         /// Events journaled (and flushed) so far.
         journaled_events: u64,
-        /// Sessions resident in the engines as of the last stamped event
-        /// (the sum of every shard's resident count; see
-        /// `SnapshotRep::tracked`). The drain itself is not stamped, so it
-        /// does not step the engines.
-        tracked: u64,
     },
     /// Seals the run: the daemon drains, runs the data plane, and answers
     /// with `Report`.
@@ -535,7 +529,6 @@ impl Msg {
                 queued_now,
                 serving,
                 resident,
-                tracked,
             } => {
                 put_u64(out, *epoch);
                 put_u64(out, *offered);
@@ -544,17 +537,10 @@ impl Msg {
                 put_u64(out, *queued_now);
                 put_u64(out, *serving);
                 put_u64(out, *resident);
-                put_u64(out, *tracked);
             }
             Msg::Seal { at_ns } => put_u64(out, *at_ns),
             Msg::Drain { at_ns } => put_u64(out, *at_ns),
-            Msg::DrainAck {
-                journaled_events,
-                tracked,
-            } => {
-                put_u64(out, *journaled_events);
-                put_u64(out, *tracked);
-            }
+            Msg::DrainAck { journaled_events } => put_u64(out, *journaled_events),
             Msg::Report { json } => {
                 // Reports can exceed a u16 string, so they carry a u32
                 // length of their own.
@@ -642,13 +628,11 @@ impl Msg {
                 queued_now: cur.u64()?,
                 serving: cur.u64()?,
                 resident: cur.u64()?,
-                tracked: cur.u64()?,
             },
             TAG_SEAL => Msg::Seal { at_ns: cur.u64()? },
             TAG_DRAIN => Msg::Drain { at_ns: cur.u64()? },
             TAG_DRAIN_ACK => Msg::DrainAck {
                 journaled_events: cur.u64()?,
-                tracked: cur.u64()?,
             },
             TAG_REPORT => {
                 let len = cur.u32()? as usize;

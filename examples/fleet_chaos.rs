@@ -5,10 +5,12 @@
 //! scheduled drain-and-crash of one server, a GPU that sheds 60% of its
 //! memory mid-run, and background crash/degrade/brownout hazards drawn
 //! from named seed streams. Crash orphans re-enter placement through the
-//! backpressure queue with exponential backoff; the run ends with the two
-//! conservation ledgers — admissions and faults — checked from the audit
-//! trace. Everything here is deterministic: same seed, same faults, same
-//! report, at any thread count.
+//! backpressure queue with exponential backoff. The same engine then runs
+//! again with its faults taken out, pricing the damage as goodput
+//! retained, and the run ends with the two conservation ledgers —
+//! admissions and faults — checked from the audit trace. Everything here
+//! is deterministic: same seed, same faults, same report, at any thread
+//! count.
 //!
 //! Run with: `cargo run --release --example fleet_chaos`
 //! (set `PICTOR_SECS` to change the fleet horizon).
@@ -124,7 +126,8 @@ fn main() {
         eng.groups[1].label,
         epochs
     );
-    let (report, audit) = eng.live().finish(pictor::core::suite::default_threads());
+    let threads = pictor::core::suite::default_threads();
+    let (report, audit) = eng.live().finish(threads);
 
     // 3. The damage report: what the fault plan did to the fleet.
     let dynamics = report.dynamics.as_ref().expect("dynamic run");
@@ -165,7 +168,27 @@ fn main() {
         100.0 * report.utilization
     );
 
-    // 5. Both conservation ledgers, from the audit trace the property
+    // 5. The price of the chaos: the same engine with its faults taken
+    //    out, measured in session-epochs served.
+    eng.faults = None;
+    let fault_free = eng.live().finish(threads).0;
+    assert!(
+        fault_free.session_epochs > 0,
+        "the fault-free twin served nothing"
+    );
+    let retained = report.session_epochs as f64 / fault_free.session_epochs as f64;
+    assert!(
+        0.0 < retained && retained < 1.5,
+        "goodput retained {retained} outside (0, 1.5)"
+    );
+    println!(
+        "goodput:      {} session-epochs under chaos vs {} fault-free ({:.1}% retained)",
+        report.session_epochs,
+        fault_free.session_epochs,
+        100.0 * retained
+    );
+
+    // 6. Both conservation ledgers, from the audit trace the property
     //    suite checks exhaustively. Recovery re-offers live outside the
     //    admission ledger, so the original identities still hold exactly.
     assert_eq!(

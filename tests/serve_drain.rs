@@ -102,8 +102,7 @@ fn restart_from_any_clean_prefix_matches_replay() {
 
 /// Live drain semantics: `Drain` seals admissions (new `Open`s are
 /// refused with `Draining`, un-journaled), acknowledges with the flushed
-/// journal depth and the resident session count, and leaves polls/seal
-/// working.
+/// journal depth, and leaves snapshots/polls/seal working.
 #[test]
 fn drain_refuses_new_sessions_but_keeps_serving() {
     let engine = probe();
@@ -137,14 +136,20 @@ fn drain_refuses_new_sessions_but_keeps_serving() {
         conn.send(&Msg::Drain { at_ns: 500_000_000 })
             .expect("drain");
         match conn.recv().expect("drain ack") {
-            Msg::DrainAck {
-                journaled_events,
-                tracked,
-            } => {
+            Msg::DrainAck { journaled_events } => {
                 assert_eq!(journaled_events, 1, "one open was journaled before drain");
-                assert_eq!(tracked, 1, "the admitted session is resident");
             }
             other => panic!("expected DrainAck, got {other:?}"),
+        }
+        // Residency reads from a stamped snapshot, which steps the engine
+        // to the drain instant.
+        conn.send(&Msg::Snapshot { at_ns: 500_000_000 })
+            .expect("snapshot");
+        match conn.recv().expect("snapshot reply") {
+            Msg::SnapshotRep { resident, .. } => {
+                assert_eq!(resident, 1, "the admitted session is resident");
+            }
+            other => panic!("expected SnapshotRep, got {other:?}"),
         }
 
         // Admissions are sealed...

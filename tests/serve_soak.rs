@@ -6,8 +6,8 @@
 //! live TCP daemon (CI runs it); this test runs the identical code path
 //! on a virtual clock so it finishes in milliseconds and runs on every
 //! `cargo test`. The boundedness assertion itself lives inside
-//! `run_swarm_threaded`: a `tracked` count above the fleet's slots (a
-//! session leak) panics the swarm.
+//! `run_swarm_threaded`: a snapshot's resident count above the fleet's
+//! slots (a session leak) panics the swarm.
 
 use std::sync::mpsc::channel;
 use std::thread;
@@ -57,8 +57,8 @@ fn multi_driver_drain_soak_stays_bounded() {
     // pin that the probe saw real data.
     assert!(load.snapshots > 0, "soak never snapshotted the daemon");
     assert!(
-        load.peak_tracked > 0,
-        "soak never observed a tracked session"
+        load.peak_resident > 0,
+        "soak never observed a resident session"
     );
     // The admit tails are read from the exact merge of every driver's
     // histogram, so they are ordered and bounded by the exact max.
