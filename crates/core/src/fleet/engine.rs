@@ -206,9 +206,7 @@ pub struct FleetAudit {
 /// [`FleetEngine::from_spec`] builds the configuration for a
 /// [`FleetSpec`], and [`FleetEngine::live`] runs it.
 ///
-/// Cloning is cheap-ish (configs and an `Arc`'d policy) and is how the
-/// serving layer partitions a fleet into independent core shards
-/// (`pictor_serve::shard_engines`).
+/// Cloning is cheap-ish: configs and an `Arc`'d policy.
 #[derive(Clone)]
 pub struct FleetEngine {
     /// Server groups, concatenated in order to form the fleet's server

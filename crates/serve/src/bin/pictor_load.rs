@@ -5,20 +5,15 @@
 //! crowd, then seals the run and reports achieved throughput plus
 //! admit-latency tails (`pictor-serve-load/v2`).
 //!
-//! ```text
-//! pictor-load --addr HOST:PORT [swarm flags...]          # against a live daemon
-//! pictor-load [swarm flags...] [engine flags...]         # daemon + swarm in one process
-//! ```
-//!
-//! Swarm flags: `--clients N`, `--rate R` (open-loop req/s), `--ramp R2`
-//! (rate at the horizon), `--flash N@SECS`, `--secs S`, `--seed S`,
-//! `--poll-every N`, `--snapshot-every S`, `--drivers N` (partition the
-//! population across N driver threads, one connection each), `--token
-//! TOK` (auth token for the daemon's `Hello`). In-process engine flags
-//! mirror `pictor-serve`: `--servers`, `--slots`, `--epochs`,
-//! `--epoch-ms`, `--queue`, `--threads`, plus `--record PATH` to write
-//! the daemon's ingress journal. `--out PATH` / `--csv PATH` write the
-//! load report.
+//! Flags are listed in [`USAGE`]; an unknown flag, a missing value or a
+//! number that does not parse prints it and exits with status 2.
+//! `--addr HOST:PORT` drives a live daemon; without it daemon and swarm
+//! run in one process. `--rate R` is the open-loop rate in req/s and
+//! `--ramp R2` its rate at the horizon. `--drivers N` partitions the
+//! population across N driver threads, one connection each. `--token TOK`
+//! is the auth token for the daemon's `Hello`. In-process engine flags
+//! mirror `pictor-serve`, plus `--record PATH` to write the daemon's
+//! ingress journal. `--out PATH` / `--csv PATH` write the load report.
 //!
 //! Pacing: in-process runs use a virtual clock (as fast as the control
 //! plane can go — that *is* the measurement); `--addr` runs pace
@@ -26,19 +21,30 @@
 //! given (matching a daemon started with `--virtual`).
 //!
 //! `--soak SECS` (requires `--addr`) is the wall-clock soak mode: drive
-//! the swarm against a live daemon for SECS real seconds, then *drain*
-//! it (seal admissions, flush the journal) before sealing — and assert
-//! that no snapshot saw more resident sessions than the fleet has slots,
-//! the regression guard for a session leak.
+//! the swarm against a live daemon for SECS real seconds, take one last
+//! snapshot, then *drain* it (seal admissions, flush the journal) before
+//! sealing — and assert that no snapshot saw more resident sessions than
+//! the fleet has slots, the regression guard for a session leak.
 
 use std::time::Instant;
 
 use pictor_sim::SimClock;
 
+use pictor_serve::cli::Args;
 use pictor_serve::{
     run_in_process, run_swarm, run_swarm_threaded, serve_engine, LoadReport, LoadSpec,
     ServeOptions, TcpConn,
 };
+
+const USAGE: &str = "\
+usage: pictor-load --addr HOST:PORT [swarm flags...]    # against a live daemon
+       pictor-load [swarm flags...] [engine flags...]   # daemon + swarm in one process
+swarm flags:  [--clients 256] [--secs S] [--seed S] [--rate R] [--ramp R2]
+              [--flash N@SECS] [--poll-every N] [--snapshot-every S]
+              [--session-secs S] [--think-secs S] [--drivers N] [--token TOK]
+              [--soak SECS] [--virtual] [--out PATH] [--csv PATH]
+engine flags: [--servers 16] [--slots 4] [--epochs N] [--epoch-ms 1000]
+              [--queue N] [--threads 4] [--record PATH]";
 
 fn master_seed() -> u64 {
     std::env::var("PICTOR_SEED")
@@ -55,64 +61,46 @@ fn measured_secs() -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        })
-    };
-    let parse = |flag: &str, default: u64| -> u64 {
-        value(flag).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} wants a number, got {v}"))
-        })
-    };
-    let parse_f = |flag: &str, default: f64| -> f64 {
-        value(flag).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} wants a number, got {v}"))
-        })
-    };
+    let args = Args::parse(
+        USAGE,
+        "--clients --secs --seed --rate --ramp --flash --poll-every --snapshot-every \
+         --session-secs --think-secs --drivers --token --soak --addr --out --csv \
+         --servers --slots --epochs --epoch-ms --queue --threads --record",
+        "--virtual",
+    );
     let default_secs = measured_secs().clamp(1, 600);
 
     let mut spec = LoadSpec::closed(
-        parse("--clients", 256) as usize,
-        parse("--secs", default_secs),
-        parse("--seed", master_seed()),
+        args.num("--clients", 256),
+        args.num("--secs", default_secs),
+        args.num("--seed", master_seed()),
     );
-    spec.open_rate_per_sec = parse_f("--rate", 0.0);
-    spec.open_rate_end_per_sec = value("--ramp").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--ramp wants a number, got {v}"))
-    });
-    let flash = value("--flash").unwrap_or_else(|| "0@0".into());
+    spec.open_rate_per_sec = args.num("--rate", 0.0);
+    spec.open_rate_end_per_sec = args.opt("--ramp");
+    let flash = args.value("--flash").unwrap_or("0@0");
     let (burst, at) = flash
         .split_once('@')
-        .unwrap_or_else(|| panic!("--flash wants BURST@SECS, got {flash}"));
-    spec.flash_burst = burst
-        .parse()
-        .unwrap_or_else(|_| panic!("bad flash burst {burst}"));
-    spec.flash_at_secs = at
-        .parse()
-        .unwrap_or_else(|_| panic!("bad flash instant {at}"));
+        .and_then(|(b, a)| Some((b.parse().ok()?, a.parse().ok()?)))
+        .unwrap_or_else(|| args.fail(&format!("--flash wants BURST@SECS, got {flash}")));
+    spec.flash_burst = burst;
+    spec.flash_at_secs = at;
     if spec.flash_burst > 0 && spec.flash_at_secs >= spec.secs {
         spec.flash_at_secs = spec.secs / 2;
     }
-    spec.poll_every = parse("--poll-every", spec.poll_every);
-    spec.snapshot_every_secs = parse("--snapshot-every", spec.snapshot_every_secs);
-    spec.mean_session_secs = parse_f("--session-secs", spec.mean_session_secs);
-    spec.mean_think_secs = parse_f("--think-secs", spec.mean_think_secs);
-    spec.drivers = parse("--drivers", 1) as usize;
-    spec.token = value("--token").unwrap_or_default();
-    let soak = value("--soak").map(|v| {
-        v.parse::<u64>()
-            .unwrap_or_else(|_| panic!("--soak wants seconds, got {v}"))
-    });
-    if let Some(secs) = soak {
-        assert!(secs > 0, "--soak wants a positive number of seconds");
-        spec.secs = secs;
+    spec.poll_every = args.num("--poll-every", spec.poll_every);
+    spec.snapshot_every_secs = args.num("--snapshot-every", spec.snapshot_every_secs);
+    spec.mean_session_secs = args.num("--session-secs", spec.mean_session_secs);
+    spec.mean_think_secs = args.num("--think-secs", spec.mean_think_secs);
+    spec.drivers = args.num("--drivers", 1);
+    spec.token = args.value("--token").unwrap_or_default().to_string();
+    let soak: Option<u64> = args.opt("--soak");
+    match soak {
+        Some(0) => args.fail("--soak wants a positive number of seconds"),
+        Some(secs) => spec.secs = secs,
+        None => {}
+    }
+    if soak.is_some() && args.value("--addr").is_none() {
+        args.fail("--soak drives a live daemon; pass --addr");
     }
     spec.validate();
 
@@ -129,13 +117,13 @@ fn main() {
     );
 
     let started = Instant::now();
-    let report: LoadReport = if let Some(addr) = value("--addr") {
-        let virtual_pace = args.iter().any(|a| a == "--virtual");
+    let report: LoadReport = if let Some(addr) = args.value("--addr") {
+        let virtual_pace = args.switch("--virtual");
         if spec.drivers > 1 || soak.is_some() {
             // Soak paces against the wall clock by definition; plain
             // multi-driver runs honor --virtual.
             run_swarm_threaded(
-                |_d| TcpConn::connect(&addr),
+                |_d| TcpConn::connect(addr),
                 &spec,
                 virtual_pace && soak.is_none(),
                 "tcp",
@@ -143,8 +131,7 @@ fn main() {
             )
             .unwrap_or_else(|e| panic!("swarm: {e}"))
         } else {
-            let mut conn =
-                TcpConn::connect(&addr).unwrap_or_else(|e| panic!("connect {addr}: {e}"));
+            let mut conn = TcpConn::connect(addr).unwrap_or_else(|e| panic!("connect {addr}: {e}"));
             let mut clock = if virtual_pace {
                 SimClock::virtual_start()
             } else {
@@ -153,27 +140,25 @@ fn main() {
             run_swarm(&mut conn, &spec, &mut clock, "tcp").unwrap_or_else(|e| panic!("swarm: {e}"))
         }
     } else {
-        assert!(soak.is_none(), "--soak drives a live daemon; pass --addr");
-        let servers = parse("--servers", 16) as usize;
+        let servers = args.num("--servers", 16);
         let engine = serve_engine(
             servers,
-            parse("--slots", 4) as usize,
-            parse("--epochs", default_secs + 30),
-            parse("--epoch-ms", 1000),
+            args.num("--slots", 4),
+            args.num("--epochs", default_secs + 30),
+            args.num("--epoch-ms", 1000),
             spec.seed,
-            parse("--queue", (servers * 2) as u64) as usize,
+            args.num("--queue", servers * 2),
         );
         let opts = ServeOptions {
             virtual_clock: true,
-            record: value("--record").is_some(),
-            threads: parse("--threads", 4) as usize,
-            shards: parse("--shards", 1) as usize,
+            record: args.value("--record").is_some(),
+            threads: args.num("--threads", 4),
             token: (!spec.token.is_empty()).then(|| spec.token.clone()),
             journal_path: None,
         };
         let run = run_in_process(&engine, &opts, &spec);
-        if let (Some(path), Some(journal)) = (value("--record"), &run.outcome.journal) {
-            std::fs::write(&path, journal).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        if let (Some(path), Some(journal)) = (args.value("--record"), &run.outcome.journal) {
+            std::fs::write(path, journal).unwrap_or_else(|e| panic!("write {path}: {e}"));
             println!("journal: {} bytes -> {path}", journal.len());
         }
         run.load
@@ -186,11 +171,11 @@ fn main() {
         let path = dir.join("serve_load.json");
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     }
-    if let Some(path) = value("--out") {
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    if let Some(path) = args.value("--out") {
+        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
-    if let Some(path) = value("--csv") {
-        std::fs::write(&path, report.to_csv()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    if let Some(path) = args.value("--csv") {
+        std::fs::write(path, report.to_csv()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
 
     println!(

@@ -5,35 +5,34 @@
 //! the run, at which point the daemon runs the data plane, writes its
 //! deterministic `pictor-serve/v1` report, and exits.
 //!
-//! ```text
-//! pictor-serve [--addr 127.0.0.1:9230] [--servers 16] [--slots 4]
-//!              [--epochs 120] [--epoch-ms 1000] [--queue N] [--seed S]
-//!              [--threads N] [--shards N] [--auth-token TOK]
-//!              [--virtual] [--record PATH] [--out PATH]
-//! pictor-serve --replay PATH [engine flags...] [--out PATH]
-//! ```
-//!
+//! Flags are listed in [`USAGE`]; an unknown flag, a missing value or a
+//! number that does not parse prints it and exits with status 2.
 //! `--virtual` stamps ingress from client-supplied timestamps instead of
 //! the wall clock (deterministic serving for tests and recording runs).
-//! `--shards N` partitions the fleet across N independent core shards
-//! behind a deterministic session-hash router (each fleet group must
-//! divide evenly). `--auth-token TOK` requires every connection to
-//! present the token in its `Hello`. `--record PATH` journals the
-//! stamped ingress stream *write-through*: every record hits the file
-//! before its effects apply, so a crashed daemon leaves at worst a torn
-//! tail. `--replay PATH` recovers the journal's clean prefix (reporting
-//! any truncation) and feeds it through a fresh engine — with the same
-//! engine flags, the replayed report is byte-identical to the recorded
-//! run's.
+//! `--auth-token TOK` requires every connection to present the token in
+//! its `Hello`. `--record PATH` journals the stamped ingress stream
+//! *write-through*: every record hits the file before its effects apply,
+//! so a crashed daemon leaves at worst a torn tail. `--replay PATH`
+//! recovers the journal's clean prefix (reporting any truncation) and
+//! feeds it through a fresh engine — with the same engine flags, the
+//! replayed report is byte-identical to the recorded run's.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
 use std::thread;
 
+use pictor_serve::cli::Args;
 use pictor_serve::{
     replay_with, run_daemon, serve_engine, tcp_listen, JournalReader, ServeOptions,
 };
+
+const USAGE: &str = "\
+usage: pictor-serve [--addr 127.0.0.1:9230] [--servers 16] [--slots 4]
+                    [--epochs 120] [--epoch-ms 1000] [--queue N] [--seed S]
+                    [--threads N] [--auth-token TOK]
+                    [--virtual] [--record PATH] [--out PATH]
+       pictor-serve --replay PATH [engine flags...] [--out PATH]";
 
 fn master_seed() -> u64 {
     std::env::var("PICTOR_SEED")
@@ -42,69 +41,25 @@ fn master_seed() -> u64 {
         .unwrap_or(2020)
 }
 
-struct Flags {
-    addr: String,
-    servers: usize,
-    slots: usize,
-    epochs: u64,
-    epoch_ms: u64,
-    queue: usize,
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    token: Option<String>,
-    virtual_clock: bool,
-    record: Option<String>,
-    replay: Option<String>,
-    out: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone()
-        })
-    };
-    let parse = |flag: &str, default: u64| -> u64 {
-        value(flag).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} wants a number, got {v}"))
-        })
-    };
-    let servers = parse("--servers", 16) as usize;
-    Flags {
-        addr: value("--addr").unwrap_or_else(|| "127.0.0.1:9230".into()),
-        servers,
-        slots: parse("--slots", 4) as usize,
-        epochs: parse("--epochs", 120),
-        epoch_ms: parse("--epoch-ms", 1000),
-        queue: parse("--queue", (servers * 2) as u64) as usize,
-        seed: parse("--seed", master_seed()),
-        threads: parse("--threads", 1) as usize,
-        shards: parse("--shards", 1) as usize,
-        token: value("--auth-token"),
-        virtual_clock: args.iter().any(|a| a == "--virtual"),
-        record: value("--record"),
-        replay: value("--replay"),
-        out: value("--out"),
-    }
-}
-
 fn main() {
-    let flags = parse_flags();
-    let engine = serve_engine(
-        flags.servers,
-        flags.slots,
-        flags.epochs,
-        flags.epoch_ms,
-        flags.seed,
-        flags.queue,
+    let args = Args::parse(
+        USAGE,
+        "--addr --servers --slots --epochs --epoch-ms --queue --seed --threads --auth-token \
+         --record --replay --out",
+        "--virtual",
     );
+    let servers = args.num("--servers", 16);
+    let slots = args.num("--slots", 4);
+    let epochs = args.num("--epochs", 120);
+    let epoch_ms = args.num("--epoch-ms", 1000);
+    let seed = args.num("--seed", master_seed());
+    let queue = args.num("--queue", servers * 2);
+    let engine = serve_engine(servers, slots, epochs, epoch_ms, seed, queue);
+    let threads = args.num("--threads", 1);
+    let virtual_clock = args.switch("--virtual");
+    let record = args.value("--record");
 
-    let outcome = if let Some(path) = &flags.replay {
+    let outcome = if let Some(path) = args.value("--replay") {
         let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
         let recovered =
             JournalReader::recover(&bytes).unwrap_or_else(|e| panic!("recover {path}: {e}"));
@@ -122,49 +77,46 @@ fn main() {
         // --virtual must echo the recording daemon's clock mode: the
         // report records it (stamps always come from the journal).
         let opts = ServeOptions {
-            virtual_clock: flags.virtual_clock,
-            threads: flags.threads,
-            shards: flags.shards,
+            virtual_clock,
+            threads,
             ..ServeOptions::default()
         };
         replay_with(&engine, &opts, &recovered.entries)
     } else {
-        let listener =
-            TcpListener::bind(&flags.addr).unwrap_or_else(|e| panic!("bind {}: {e}", flags.addr));
+        let addr = args.value("--addr").unwrap_or("127.0.0.1:9230");
+        let listener = TcpListener::bind(addr).unwrap_or_else(|e| panic!("bind {addr}: {e}"));
         let addr = listener.local_addr().expect("local addr");
         println!(
-            "pictor-serve: {} servers x {} slots, {} epochs of {} ms, seed {}, {} shard(s), \
-             auth {}, listening on {addr} ({} clock)",
-            flags.servers,
-            flags.slots,
-            flags.epochs,
-            flags.epoch_ms,
-            flags.seed,
-            flags.shards,
-            if flags.token.is_some() { "on" } else { "off" },
-            if flags.virtual_clock {
-                "virtual"
+            "pictor-serve: {} servers x {} slots, {} epochs of {} ms, seed {}, auth {}, \
+             listening on {addr} ({} clock)",
+            servers,
+            slots,
+            epochs,
+            epoch_ms,
+            seed,
+            if args.value("--auth-token").is_some() {
+                "on"
             } else {
-                "wall"
+                "off"
             },
+            if virtual_clock { "virtual" } else { "wall" },
         );
         let (tx, rx) = channel();
         thread::spawn(move || tcp_listen(listener, tx));
         let opts = ServeOptions {
-            virtual_clock: flags.virtual_clock,
-            record: flags.record.is_some(),
-            threads: flags.threads,
-            shards: flags.shards,
-            token: flags.token.clone(),
+            virtual_clock,
+            record: record.is_some(),
+            threads,
+            token: args.value("--auth-token").map(str::to_string),
             // Write-through: the journal file is appended before each
             // event applies, so a crash mid-run loses at most a torn
             // tail, never an applied-but-unjournaled event.
-            journal_path: flags.record.as_ref().map(PathBuf::from),
+            journal_path: record.map(PathBuf::from),
         };
         run_daemon(&engine, &opts, rx)
     };
 
-    if let (Some(path), Some(journal)) = (&flags.record, &outcome.journal) {
+    if let (Some(path), Some(journal)) = (record, &outcome.journal) {
         println!(
             "journal: {} events ({} bytes) -> {path} (write-through)",
             outcome.report.ingress.journaled_events,
@@ -179,7 +131,7 @@ fn main() {
         let path = dir.join("serve.json");
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     }
-    if let Some(path) = &flags.out {
+    if let Some(path) = args.value("--out") {
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
 

@@ -1,43 +1,29 @@
-//! The control-plane daemon: a deterministic sharded core behind a thin
+//! The control-plane daemon: a deterministic core behind a thin
 //! transport shim.
 //!
 //! # Execution model
 //!
-//! One thread owns the serving state ([`ServeCore`]: N per-shard
-//! [`LiveFleet`]s behind a session-hash router) and consumes an mpsc
-//! ingress queue of [`DaemonMsg`]s. Transports — TCP reader threads or
-//! the in-process channel — only move bytes; every decision happens on
-//! the core thread in arrival order. That single serialization point is
-//! what makes the journal authoritative: the stamped ingress sequence
-//! *is* the run.
+//! One thread owns the serving state ([`ServeCore`]: one [`LiveFleet`])
+//! and consumes an mpsc ingress queue of [`DaemonMsg`]s. Transports —
+//! TCP reader threads or the in-process channel — only move bytes; every
+//! decision happens on the core thread in arrival order. That single
+//! serialization point is what makes the journal authoritative: the
+//! stamped ingress sequence *is* the run.
 //!
-//! The engines are the only session state. A `Poll` is answered from
-//! its shard's own segments ([`LiveFleet::session_telemetry`]): a session
-//! is known exactly while one of its segments covers the polled epoch,
-//! and every other poll gets `Error { UnknownSession }`.
+//! The engine is the only session state. A `Poll` is answered from its
+//! own segments ([`LiveFleet::session_telemetry`]): a session is known
+//! exactly while one of its segments covers the polled epoch, and every
+//! other poll gets `Error { UnknownSession }`.
 //!
 //! # Determinism boundary
 //!
 //! [`ServeCore::handle_frame`] splits each ingress frame into two halves:
 //! a **stamping** half (wall/virtual clock read, monotone clamp — the only
 //! nondeterministic step, whose output is journaled) and an **apply** half
-//! ([`ServeCore::apply_entry`]) that is a pure function of the stamped,
-//! shard-routed event. Replay skips stamping entirely and drives
-//! `apply_entry` straight from the journal, which is why a replayed
-//! [`ServeReport`] is byte-identical to the live one
-//! (`tests/serve_replay.rs`).
-//!
-//! # Sharding
-//!
-//! With `shards = N`, the base engine is partitioned into N equal
-//! sub-fleets ([`shard_engines`]); `Open`s are routed by a
-//! connection/request hash, `Poll`s by their session id, and snapshots
-//! and the seal broadcast to every shard. Session ids are globalized as
-//! `local * N + shard`, server ids through a per-shard index map, and the
-//! shard assignment of every routed event is recorded in the journal so
-//! replay never re-derives it. With `shards = 1` nothing changes: no
-//! markers are written and the journal and report stay byte-identical to
-//! the unsharded daemon.
+//! ([`ServeCore::apply_entry`]) that is a pure function of the stamped
+//! event. Replay skips stamping entirely and drives `apply_entry`
+//! straight from the journal, which is why a replayed [`ServeReport`] is
+//! byte-identical to the live one (`tests/serve_replay.rs`).
 //!
 //! # Lifecycle
 //!
@@ -56,12 +42,12 @@ use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 
 use pictor_apps::AppId;
-use pictor_core::fleet::{Admission, FleetEngine, LiveFleet};
+use pictor_core::fleet::{Admission, FleetAudit, FleetEngine, FleetReport, LiveFleet};
 use pictor_sim::SimClock;
 
 use crate::journal::{IngressEvent, JournalEntry, JournalWriter};
 use crate::protocol::{ErrCode, Msg, Outcome, PROTOCOL_VERSION};
-use crate::report::{IngressCounters, ServeReport, ShardOutcome};
+use crate::report::{IngressCounters, ServeReport};
 
 /// Where a connection's reply frames go. The daemon thread writes
 /// synchronously: for TCP that hands the frame to the kernel's socket
@@ -125,10 +111,6 @@ pub struct ServeOptions {
     pub record: bool,
     /// Data-plane threads at seal.
     pub threads: usize,
-    /// Core shards behind the session-hash router. Every group's server
-    /// count must divide evenly; 1 reproduces the unsharded daemon byte
-    /// for byte.
-    pub shards: usize,
     /// Auth token clients must present in `Hello` (compared
     /// constant-time); `None` disables auth.
     pub token: Option<String>,
@@ -143,7 +125,6 @@ impl Default for ServeOptions {
             virtual_clock: false,
             record: false,
             threads: 1,
-            shards: 1,
             token: None,
             journal_path: None,
         }
@@ -175,56 +156,16 @@ pub struct TransportStats {
 /// Everything a sealed run produces.
 #[derive(Debug)]
 pub struct ServeOutcome {
-    /// The deterministic daemon report (merged across shards).
+    /// The deterministic daemon report.
     pub report: ServeReport,
-    /// Per-shard sealed fleet reports + invariant-checking audit traces,
-    /// indexed by shard (a single entry for an unsharded daemon).
-    pub shards: Vec<ShardOutcome>,
+    /// The sealed fleet report.
+    pub fleet: FleetReport,
+    /// The engine's invariant-checking audit trace.
+    pub audit: FleetAudit,
     /// The recorded journal bytes (when recording was on).
     pub journal: Option<Vec<u8>>,
     /// Transport diagnostics.
     pub transport: TransportStats,
-}
-
-/// Partitions `base` into `shards` equal sub-fleets: every group's
-/// servers are divided evenly and each shard past 0 gets a decorrelated
-/// seed. Shard 0 of a 1-way split *is* the base engine — the identity the
-/// goldens rely on.
-///
-/// # Panics
-///
-/// Panics when any group's server count is not divisible by `shards`, or
-/// `shards` is zero.
-pub fn shard_engines(base: &FleetEngine, shards: usize) -> Vec<FleetEngine> {
-    assert!(shards > 0, "need at least one core shard");
-    (0..shards)
-        .map(|s| {
-            let mut e = base.clone();
-            for g in &mut e.groups {
-                assert!(
-                    g.servers % shards == 0,
-                    "group '{}' has {} servers, not divisible by {shards} shards",
-                    g.label,
-                    g.servers
-                );
-                g.servers /= shards;
-            }
-            // Golden-gamma decorrelation; s = 0 XORs with 0, keeping the
-            // base seed (and thus the single-shard goldens) untouched.
-            e.seed = base.seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            e
-        })
-        .collect()
-}
-
-/// FNV-1a over the (connection, request) pair: the `Open` router hash.
-fn route_hash(conn: u32, req: u64) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in conn.to_le_bytes().into_iter().chain(req.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Constant-time byte comparison for auth tokens: no early exit on the
@@ -241,11 +182,11 @@ fn token_eq(a: &str, b: &str) -> bool {
     diff == 0
 }
 
-/// The deterministic serving core: the shard router, the ingress ledger,
-/// one [`LiveFleet`] per shard (ids inside are shard-local; the router
-/// globalizes them) and the optional journal.
+/// The deterministic serving core: the ingress ledger, the engine's
+/// [`LiveFleet`] and the optional journal.
 pub struct ServeCore<'a> {
-    cores: Vec<LiveFleet<'a>>,
+    engine: &'a FleetEngine,
+    live: LiveFleet<'a>,
     clock: SimClock,
     virtual_clock: bool,
     last_ns: u64,
@@ -258,51 +199,27 @@ pub struct ServeCore<'a> {
     /// off).
     authed: HashSet<u32>,
     token: Option<String>,
-    /// shard → local server index → global server index.
-    server_maps: Vec<Vec<u64>>,
-    epoch_ns: u64,
-    epochs: u64,
-    total_servers: u64,
-    slots_per_server: u64,
 }
 
 impl<'a> ServeCore<'a> {
-    /// Opens the sharded engines for serving. `engines` comes from
-    /// [`shard_engines`] on the base engine; pass a single engine for the
-    /// classic unsharded daemon.
+    /// Opens `engine` for serving. The one-element array is kept for
+    /// perfbench, which passes `&[engine]`; other callers wrap a
+    /// reference with `std::array::from_ref`.
     ///
     /// # Panics
     ///
     /// Panics on the same engine-validation failures as
-    /// [`FleetEngine::live`], or when `engines` is empty.
-    pub fn new(engines: &'a [FleetEngine], opts: &ServeOptions) -> Self {
-        assert!(!engines.is_empty(), "need at least one shard engine");
-        let shards = engines.len();
-        let cores: Vec<LiveFleet<'a>> = engines.iter().map(FleetEngine::live).collect();
-        // Global index space = base groups concatenated; shard s owns the
-        // contiguous [s*per, (s+1)*per) span of each group.
-        let mut server_maps = vec![Vec::new(); shards];
-        let mut group_base = 0u64;
-        for g in 0..engines[0].groups.len() {
-            let per = engines[0].groups[g].servers as u64;
-            for (s, map) in server_maps.iter_mut().enumerate() {
-                for lo in 0..per {
-                    map.push(group_base + s as u64 * per + lo);
-                }
-            }
-            group_base += per * shards as u64;
-        }
+    /// [`FleetEngine::live`].
+    pub fn new(engine: &'a [FleetEngine; 1], opts: &ServeOptions) -> Self {
+        let engine = &engine[0];
         let journal = if let Some(path) = &opts.journal_path {
             Some(JournalWriter::with_file(path).expect("open journal file"))
         } else {
             opts.record.then(JournalWriter::new)
         };
         ServeCore {
-            epoch_ns: cores[0].epoch_ns(),
-            epochs: engines[0].epochs,
-            total_servers: engines.iter().map(|e| e.total_servers() as u64).sum(),
-            slots_per_server: engines[0].slots_per_server as u64,
-            cores,
+            engine,
+            live: engine.live(),
             clock: if opts.virtual_clock {
                 SimClock::virtual_start()
             } else {
@@ -317,7 +234,6 @@ impl<'a> ServeCore<'a> {
             draining: false,
             authed: HashSet::new(),
             token: opts.token.clone(),
-            server_maps,
         }
     }
 
@@ -338,10 +254,6 @@ impl<'a> ServeCore<'a> {
             self.last_ns = t;
             t
         }
-    }
-
-    fn shards(&self) -> u64 {
-        self.cores.len() as u64
     }
 
     /// Drops per-connection state (auth) when a transport hangs up.
@@ -397,11 +309,10 @@ impl<'a> ServeCore<'a> {
                     conn,
                     Msg::HelloAck {
                         protocol: PROTOCOL_VERSION,
-                        epoch_ns: self.epoch_ns,
-                        epochs: self.epochs,
-                        servers: self.total_servers,
-                        slots: self.slots_per_server,
-                        shards: self.shards(),
+                        epoch_ns: self.live.epoch_ns(),
+                        epochs: self.engine.epochs,
+                        servers: self.engine.total_servers() as u64,
+                        slots: self.engine.slots_per_server as u64,
                     },
                 ));
             } else {
@@ -430,8 +341,8 @@ impl<'a> ServeCore<'a> {
         match msg {
             Msg::Hello { .. } => unreachable!("handled above"),
             Msg::Drain { at_ns: _ } => {
-                // Router-level, never journaled: the journal simply ends
-                // at a clean prefix. Idempotent.
+                // Never journaled: the journal simply ends at a clean
+                // prefix. Idempotent.
                 self.draining = true;
                 if let Some(j) = self.journal.as_mut() {
                     j.flush().expect("journal flush on drain");
@@ -462,55 +373,35 @@ impl<'a> ServeCore<'a> {
                     return false;
                 }
                 let at_ns = self.stamp(at_ns);
-                let shard = (route_hash(conn, req) % self.shards()) as u16;
                 self.apply_entry(
-                    &JournalEntry {
-                        shard,
-                        event: IngressEvent::Open {
-                            conn,
-                            req,
-                            at_ns,
-                            duration_ns,
-                            app_code,
-                        },
+                    &IngressEvent::Open {
+                        conn,
+                        req,
+                        at_ns,
+                        duration_ns,
+                        app_code,
                     },
                     out,
                 )
             }
             Msg::Poll { at_ns, session } => {
                 let at_ns = self.stamp(at_ns);
-                let shard = (session % self.shards()) as u16;
                 self.apply_entry(
-                    &JournalEntry {
-                        shard,
-                        event: IngressEvent::Poll {
-                            conn,
-                            at_ns,
-                            session,
-                        },
+                    &IngressEvent::Poll {
+                        conn,
+                        at_ns,
+                        session,
                     },
                     out,
                 )
             }
             Msg::Snapshot { at_ns } => {
                 let at_ns = self.stamp(at_ns);
-                self.apply_entry(
-                    &JournalEntry {
-                        shard: 0,
-                        event: IngressEvent::Snapshot { conn, at_ns },
-                    },
-                    out,
-                )
+                self.apply_entry(&IngressEvent::Snapshot { conn, at_ns }, out)
             }
             Msg::Seal { at_ns } => {
                 let at_ns = self.stamp(at_ns);
-                self.apply_entry(
-                    &JournalEntry {
-                        shard: 0,
-                        event: IngressEvent::Seal { conn, at_ns },
-                    },
-                    out,
-                )
+                self.apply_entry(&IngressEvent::Seal { conn, at_ns }, out)
             }
             // Daemon-to-client messages arriving at the daemon are a
             // protocol violation.
@@ -534,17 +425,16 @@ impl<'a> ServeCore<'a> {
         }
     }
 
-    /// Applies one **stamped, routed** ingress entry — the deterministic
-    /// half of the daemon, shared verbatim by the live path, journal
-    /// replay and handover restarts. Returns `true` on seal.
-    pub fn apply_entry(&mut self, entry: &JournalEntry, out: &mut Vec<(u32, Msg)>) -> bool {
+    /// Applies one **stamped** ingress event — the deterministic half of
+    /// the daemon, shared verbatim by the live path, journal replay and
+    /// handover restarts. Returns `true` on seal.
+    pub fn apply_entry(&mut self, event: &IngressEvent, out: &mut Vec<(u32, Msg)>) -> bool {
         if let Some(j) = self.journal.as_mut() {
-            j.record_routed(entry.shard, &entry.event);
+            j.record(event);
             self.counters.journaled_events += 1;
         }
-        let nshards = self.shards();
-        self.last_ns = self.last_ns.max(entry.event.at_ns());
-        match &entry.event {
+        self.last_ns = self.last_ns.max(event.at_ns());
+        match event {
             IngressEvent::Open {
                 conn,
                 req,
@@ -558,8 +448,7 @@ impl<'a> ServeCore<'a> {
                     out.push((*conn, decision(*req, Outcome::UnknownApp)));
                     return false;
                 };
-                let live = &mut self.cores[entry.shard as usize];
-                let msg = match live.offer_arrival(*at_ns, id.spec(), *duration_ns) {
+                let msg = match self.live.offer_arrival(*at_ns, id.spec(), *duration_ns) {
                     Admission::Admitted {
                         session,
                         server,
@@ -570,8 +459,8 @@ impl<'a> ServeCore<'a> {
                         Msg::Decision {
                             req: *req,
                             outcome: Outcome::Admitted,
-                            session: session * nshards + entry.shard as u64,
-                            server: self.server_maps[entry.shard as usize][server],
+                            session,
+                            server: server as u64,
                             start_epoch,
                             end_epoch,
                         }
@@ -598,10 +487,9 @@ impl<'a> ServeCore<'a> {
                 session,
             } => {
                 self.counters.polls += 1;
-                let live = &mut self.cores[entry.shard as usize];
-                live.step_to(*at_ns);
-                let epoch = (*at_ns / self.epoch_ns).min(self.epochs - 1);
-                let msg = match live.session_telemetry(session / nshards, epoch) {
+                self.live.step_to(*at_ns);
+                let epoch = (*at_ns / self.live.epoch_ns()).min(self.engine.epochs - 1);
+                let msg = match self.live.session_telemetry(*session, epoch) {
                     Some(t) => Msg::Telemetry {
                         session: *session,
                         epoch,
@@ -623,29 +511,18 @@ impl<'a> ServeCore<'a> {
             }
             IngressEvent::Snapshot { conn, at_ns } => {
                 self.counters.snapshots += 1;
-                let (mut epoch, mut offered, mut admitted, mut rejected) = (0, 0, 0, 0);
-                let (mut queued_now, mut serving, mut resident) = (0, 0, 0);
-                for live in &mut self.cores {
-                    live.step_to(*at_ns);
-                    let s = live.snapshot();
-                    epoch = s.epoch;
-                    offered += s.offered;
-                    admitted += s.admitted;
-                    rejected += s.rejected;
-                    queued_now += s.queued_now as u64;
-                    serving += s.serving_servers as u64;
-                    resident += s.resident_sessions as u64;
-                }
+                self.live.step_to(*at_ns);
+                let s = self.live.snapshot();
                 out.push((
                     *conn,
                     Msg::SnapshotRep {
-                        epoch,
-                        offered,
-                        admitted,
-                        rejected,
-                        queued_now,
-                        serving,
-                        resident,
+                        epoch: s.epoch,
+                        offered: s.offered,
+                        admitted: s.admitted,
+                        rejected: s.rejected,
+                        queued_now: s.queued_now as u64,
+                        serving: s.serving_servers as u64,
+                        resident: s.resident_sessions as u64,
                     },
                 ));
                 false
@@ -657,21 +534,15 @@ impl<'a> ServeCore<'a> {
         }
     }
 
-    /// Seals the run: drains every shard's fleet, runs the data plane,
-    /// and builds the merged deterministic report.
+    /// Seals the run: drains the fleet, runs the data plane, and builds
+    /// the deterministic report.
     pub fn seal(self, threads: usize) -> ServeOutcome {
-        let shards: Vec<ShardOutcome> = self
-            .cores
-            .into_iter()
-            .map(|live| {
-                let (fleet, audit) = live.finish(threads);
-                ShardOutcome { fleet, audit }
-            })
-            .collect();
-        let report = ServeReport::merged(self.counters, self.virtual_clock, &shards);
+        let (fleet, audit) = self.live.finish(threads);
+        let report = ServeReport::new(self.counters, self.virtual_clock, &fleet, &audit);
         ServeOutcome {
             report,
-            shards,
+            fleet,
+            audit,
             journal: self.journal.map(JournalWriter::into_bytes),
             transport: self.transport,
         }
@@ -715,14 +586,13 @@ pub fn run_daemon_from(
     prefix: &[JournalEntry],
 ) -> ServeOutcome {
     assert!(opts.threads > 0, "need at least one data-plane thread");
-    let engines = shard_engines(engine, opts.shards);
-    let mut core = ServeCore::new(&engines, opts);
+    let mut core = ServeCore::new(std::array::from_ref(engine), opts);
     let mut out: Vec<(u32, Msg)> = Vec::new();
     let mut sealed_by_prefix = false;
     for entry in prefix {
         // Replies went to connections of the previous daemon: discard.
         out.clear();
-        if core.apply_entry(entry, &mut out) {
+        if core.apply_entry(&entry.event, &mut out) {
             sealed_by_prefix = true;
             break;
         }
@@ -770,11 +640,10 @@ pub fn run_daemon_from(
     outcome
 }
 
-/// Replays a decoded journal through a fresh sharded core: the
-/// deterministic `apply_entry` path only — no clock, no stamping, no
-/// routing (the recorded shard assignments are authoritative). The
-/// resulting [`ServeReport`] is byte-identical to the recording run's
-/// when `shards` matches it.
+/// Replays a decoded journal through a fresh core: the deterministic
+/// `apply_entry` path only — no clock, no stamping. The resulting
+/// [`ServeReport`] is byte-identical to the recording run's. `shards`
+/// must be 1; the argument is kept for perfbench.
 ///
 /// Assumes the recording daemon ran on a virtual clock (the
 /// configuration every test and the committed golden use); a journal
@@ -784,21 +653,21 @@ pub fn run_daemon_from(
 ///
 /// # Panics
 ///
-/// Panics if the journal's timestamps are not nondecreasing (journals
-/// written by [`JournalWriter`] always are), an entry names a shard ≥
-/// `shards`, or on engine-validation failures.
+/// Panics if `shards` is not 1, if the journal's timestamps are not
+/// nondecreasing (journals written by [`JournalWriter`] always are), or
+/// on engine-validation failures.
 pub fn replay(
     engine: &FleetEngine,
     shards: usize,
     entries: &[JournalEntry],
     threads: usize,
 ) -> ServeOutcome {
+    assert_eq!(shards, 1, "the daemon runs one engine");
     replay_with(
         engine,
         &ServeOptions {
             virtual_clock: true,
             threads,
-            shards,
             ..ServeOptions::default()
         },
         entries,
@@ -807,17 +676,14 @@ pub fn replay(
 
 /// [`replay`] with explicit [`ServeOptions`]: `opts.virtual_clock` must
 /// echo the recording daemon's clock mode for byte-identity (the report
-/// records it), `opts.record`/`opts.journal_path` re-journal the replay
-/// if set, and `opts.shards` must match the recording layout.
+/// records it), and `opts.record`/`opts.journal_path` re-journal the
+/// replay if set.
 pub fn replay_with(
     engine: &FleetEngine,
     opts: &ServeOptions,
     entries: &[JournalEntry],
 ) -> ServeOutcome {
-    let shards = opts.shards;
-    let threads = opts.threads;
-    let engines = shard_engines(engine, shards);
-    let mut core = ServeCore::new(&engines, opts);
+    let mut core = ServeCore::new(std::array::from_ref(engine), opts);
     // Mirror the recording run's ledger: it counted every event it
     // wrote. (When re-journaling, `apply_entry` counts as it writes.)
     if core.journal.is_none() {
@@ -827,20 +693,15 @@ pub fn replay_with(
     let mut last = 0u64;
     for entry in entries {
         assert!(
-            (entry.shard as usize) < shards,
-            "journal routes to shard {} but the daemon has {shards}",
-            entry.shard
-        );
-        assert!(
             entry.event.at_ns() >= last,
             "journal timestamps must be nondecreasing ({} < {last})",
             entry.event.at_ns()
         );
         last = entry.event.at_ns();
         out.clear();
-        if core.apply_entry(entry, &mut out) {
+        if core.apply_entry(&entry.event, &mut out) {
             break;
         }
     }
-    core.seal(threads)
+    core.seal(opts.threads)
 }

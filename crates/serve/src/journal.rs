@@ -16,15 +16,6 @@
 //! integers, `u16`-prefixed strings). Events are stored with their final
 //! **stamped** timestamps — replay never consults a clock.
 //!
-//! # Shard routing
-//!
-//! When the daemon runs more than one core shard, each `Open`/`Poll`
-//! event's shard assignment is recorded as an `EV_SHARD` marker record
-//! *preceding* the event it routes (broadcast events — snapshots, the
-//! seal — carry no marker). Markers are only written for shard ≠ 0, so a
-//! single-shard daemon's journal is byte-identical to the pre-shard
-//! format and old journals decode as all-shard-0 streams.
-//!
 //! # Crash recovery
 //!
 //! A file-backed journal appends records as they are stamped; a daemon
@@ -49,9 +40,6 @@ const EV_OPEN: u8 = 1;
 const EV_POLL: u8 = 2;
 const EV_SNAPSHOT: u8 = 3;
 const EV_SEAL: u8 = 4;
-/// Routing marker: a 2-byte shard index that applies to the next event
-/// record. Absent for shard 0 (and thus from every single-shard journal).
-const EV_SHARD: u8 = 5;
 
 /// One stamped ingress event — everything the deterministic core consumes.
 ///
@@ -180,13 +168,11 @@ impl IngressEvent {
     }
 }
 
-/// One routed journal entry: the stamped event plus the core shard it
-/// was dispatched to. Single-shard journals decode with `shard == 0`
-/// throughout.
+/// One decoded journal entry: the stamped event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
-    /// The core shard the event was routed to (0 for broadcasts and in
-    /// single-shard daemons).
+    /// Always 0: the daemon runs one engine. Kept for perfbench, which
+    /// reads it.
     pub shard: u16,
     /// The stamped ingress event.
     pub event: IngressEvent,
@@ -236,25 +222,19 @@ impl JournalWriter {
         }
     }
 
-    /// Appends one event, routed to shard 0.
+    /// Appends one event.
     pub fn record(&mut self, ev: &IngressEvent) {
-        self.record_routed(0, ev);
-    }
-
-    /// Appends one event with its shard assignment. A marker record is
-    /// emitted only for shard ≠ 0, keeping single-shard journals
-    /// byte-identical to the unsharded format.
-    pub fn record_routed(&mut self, shard: u16, ev: &IngressEvent) {
-        if shard != 0 {
-            let mut marker = Vec::with_capacity(3);
-            put_u8(&mut marker, EV_SHARD);
-            marker.extend_from_slice(&shard.to_le_bytes());
-            self.append(&marker);
-        }
         let mut payload = Vec::with_capacity(48);
         ev.encode_payload(&mut payload);
         self.append(&payload);
         self.events += 1;
+    }
+
+    /// [`JournalWriter::record`] for an entry's `shard`, which must be 0.
+    /// Kept for perfbench, which calls it.
+    pub fn record_routed(&mut self, shard: u16, ev: &IngressEvent) {
+        assert_eq!(shard, 0, "the daemon runs one engine");
+        self.record(ev);
     }
 
     /// Forces journaled records down to stable storage (drain uses this
@@ -266,7 +246,7 @@ impl JournalWriter {
         }
     }
 
-    /// Events recorded so far (shard markers are not counted).
+    /// Events recorded so far.
     pub fn len(&self) -> u64 {
         self.events
     }
@@ -314,9 +294,8 @@ pub struct JournalReader;
 impl JournalReader {
     /// Reads `bytes`, tolerating a truncated trailing record.
     ///
-    /// A partial length prefix, a body shorter than its declared length,
-    /// or a shard marker whose routed event never made it to disk all
-    /// end the clean prefix. Bad magic, zero/oversized lengths and
+    /// A partial length prefix or a body shorter than its declared
+    /// length ends the clean prefix. Bad magic, zero/oversized lengths and
     /// undecodable *complete* records are still hard errors — those are
     /// corruption, not a crash.
     pub fn recover(bytes: &[u8]) -> Result<RecoveredJournal, WireError> {
@@ -331,18 +310,9 @@ impl JournalReader {
         }
         let mut entries = Vec::new();
         let mut pos = JOURNAL_MAGIC.len();
-        // End of the last fully-applied entry; a pending shard marker
-        // does not advance it, so truncation mid-pair drops the marker.
-        let mut clean_len = pos;
-        let mut pending_shard: Option<u16> = None;
-        let truncated = loop {
-            if pos == bytes.len() {
-                // A dangling marker means its event never hit the disk.
-                break pending_shard.is_some();
-            }
-            if bytes.len() - pos < 4 {
-                break true;
-            }
+        // Stops at the end, or at a torn tail: a partial length prefix or
+        // a body shorter than its declared length.
+        while bytes.len() - pos >= 4 {
             let len =
                 u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
                     as usize;
@@ -353,37 +323,26 @@ impl JournalReader {
                 return Err(WireError::Oversized { declared: len });
             }
             if bytes.len() - (pos + 4) < len {
-                break true;
+                break;
             }
-            let body = &bytes[pos + 4..pos + 4 + len];
+            entries.push(JournalEntry {
+                shard: 0,
+                event: IngressEvent::decode(&bytes[pos + 4..pos + 4 + len])?,
+            });
             pos += 4 + len;
-            if body[0] == EV_SHARD {
-                if pending_shard.is_some() || body.len() != 3 {
-                    // Two markers back to back (or a malformed one) is
-                    // corruption, not a torn write.
-                    return Err(WireError::UnknownType { tag: EV_SHARD });
-                }
-                pending_shard = Some(u16::from_le_bytes([body[1], body[2]]));
-            } else {
-                entries.push(JournalEntry {
-                    shard: pending_shard.take().unwrap_or(0),
-                    event: IngressEvent::decode(body)?,
-                });
-                clean_len = pos;
-            }
-        };
-        if strict && truncated {
+        }
+        if strict && pos < bytes.len() {
             return Err(WireError::Truncated);
         }
         Ok(RecoveredJournal {
             entries,
-            clean_len,
-            truncated_bytes: bytes.len() - clean_len,
+            clean_len: pos,
+            truncated_bytes: bytes.len() - pos,
         })
     }
 }
 
-/// Strictly parses a serialized journal into routed entries.
+/// Strictly parses a serialized journal into entries.
 ///
 /// Total like the wire codec: corrupt magic, truncated records and
 /// oversized prefixes all map to [`WireError`], never a panic. Use
@@ -392,8 +351,7 @@ pub fn decode_journal_entries(bytes: &[u8]) -> Result<Vec<JournalEntry>, WireErr
     Ok(JournalReader::parse(bytes, true)?.entries)
 }
 
-/// Strictly parses a serialized journal back into its event stream,
-/// discarding shard routing (a convenience view for single-shard runs).
+/// Strictly parses a serialized journal back into its event stream.
 pub fn decode_journal(bytes: &[u8]) -> Result<Vec<IngressEvent>, WireError> {
     Ok(decode_journal_entries(bytes)?
         .into_iter()
@@ -460,34 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_markers_roundtrip_and_zero_is_markerless() {
-        let events = sample_events();
-        let mut routed = JournalWriter::new();
-        let mut plain = JournalWriter::new();
-        for (i, ev) in events.iter().enumerate() {
-            routed.record_routed((i % 3) as u16, ev);
-            plain.record_routed(0, ev);
-        }
-        let entries = decode_journal_entries(&routed.into_bytes()).unwrap();
-        for (i, entry) in entries.iter().enumerate() {
-            assert_eq!(entry.shard, (i % 3) as u16);
-            assert_eq!(entry.event, events[i]);
-        }
-        // All-shard-0 routing writes no markers: byte-identical to the
-        // legacy format, which is what keeps the goldens stable.
-        let mut legacy = JournalWriter::new();
-        for ev in &events {
-            legacy.record(ev);
-        }
-        assert_eq!(plain.into_bytes(), legacy.into_bytes());
-    }
-
-    #[test]
     fn recovery_stops_at_last_complete_record() {
         let events = sample_events();
         let mut w = JournalWriter::new();
-        for (i, ev) in events.iter().enumerate() {
-            w.record_routed((i % 2) as u16, ev);
+        for ev in &events {
+            w.record(ev);
         }
         let bytes = w.into_bytes();
         let intact = JournalReader::recover(&bytes).unwrap();
@@ -515,32 +450,17 @@ mod tests {
     }
 
     #[test]
-    fn dangling_shard_marker_counts_as_truncation() {
+    fn retired_tag_5_records_are_refused() {
+        // A journal from a daemon that wrote tag-5 shard-routing markers
+        // must be refused, not replayed without them or read as torn.
         let mut w = JournalWriter::new();
-        w.record_routed(1, &IngressEvent::Snapshot { conn: 7, at_ns: 9 });
-        let bytes = w.into_bytes();
-        // Chop the event record off, leaving the complete marker.
-        let marker_end = JOURNAL_MAGIC.len() + 4 + 3;
-        let rec = JournalReader::recover(&bytes[..marker_end]).unwrap();
-        assert!(rec.entries.is_empty());
-        assert_eq!(rec.clean_len, JOURNAL_MAGIC.len());
-        assert_eq!(rec.truncated_bytes, 4 + 3);
-        assert!(decode_journal_entries(&bytes[..marker_end]).is_err());
-    }
-
-    #[test]
-    fn double_shard_marker_is_corruption_not_truncation() {
-        let mut w = JournalWriter::new();
-        w.record_routed(1, &IngressEvent::Seal { conn: 0, at_ns: 1 });
+        w.record(&IngressEvent::Seal { conn: 0, at_ns: 1 });
         let mut bytes = w.into_bytes();
-        // Duplicate the marker record (4-byte prefix + 3-byte body)
-        // right after the magic: two markers in a row.
-        let marker: Vec<u8> = bytes[JOURNAL_MAGIC.len()..JOURNAL_MAGIC.len() + 7].to_vec();
-        bytes.splice(JOURNAL_MAGIC.len()..JOURNAL_MAGIC.len(), marker);
-        assert_eq!(
-            JournalReader::recover(&bytes),
-            Err(WireError::UnknownType { tag: 5 })
-        );
+        let at = JOURNAL_MAGIC.len();
+        bytes.splice(at..at, [3, 0, 0, 0, 5, 1, 0]);
+        let refused = WireError::UnknownType { tag: 5 };
+        assert_eq!(JournalReader::recover(&bytes).unwrap_err(), refused);
+        assert_eq!(decode_journal_entries(&bytes).unwrap_err(), refused);
     }
 
     #[test]
@@ -550,7 +470,7 @@ mod tests {
         let path = dir.join("torn.journal");
         let mut w = JournalWriter::with_file(&path).unwrap();
         for ev in sample_events() {
-            w.record_routed(2, &ev);
+            w.record(&ev);
         }
         w.flush().unwrap();
         let mem = w.into_bytes();

@@ -31,6 +31,7 @@
 //!   live in the *client-side* [`LoadReport`](load::LoadReport), so the
 //!   daemon report stays golden-able.
 
+pub mod cli;
 pub mod daemon;
 pub mod journal;
 pub mod load;
@@ -47,8 +48,8 @@ use pictor_core::fleet::{
 use pictor_sim::SimDuration;
 
 pub use daemon::{
-    replay, replay_with, run_daemon, run_daemon_from, shard_engines, DaemonMsg, ReplySink,
-    ServeCore, ServeOptions, ServeOutcome, TransportStats,
+    replay, replay_with, run_daemon, run_daemon_from, DaemonMsg, ReplySink, ServeCore,
+    ServeOptions, ServeOutcome, TransportStats,
 };
 pub use journal::{
     decode_journal, decode_journal_entries, IngressEvent, JournalEntry, JournalReader,
@@ -61,7 +62,7 @@ pub use protocol::{
     ErrCode, FrameDecoder, Msg, Outcome, WireError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
-pub use report::{IngressCounters, ServeReport, ShardOutcome, SERVE_SCHEMA};
+pub use report::{IngressCounters, ServeReport, SERVE_SCHEMA};
 pub use transport::{tcp_listen, ChannelConn, Conn, TcpConn};
 
 /// The serving-mode arrival profile: **no** internal arrival streams —

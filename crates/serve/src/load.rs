@@ -183,7 +183,7 @@ pub struct LoadReport {
     pub stale_polls: u64,
     /// Fleet snapshots completed.
     pub snapshots: u64,
-    /// Peak resident sessions observed across snapshots: the engines'
+    /// Peak resident sessions observed across snapshots: the engine's
     /// resident sessions, which placement bounds by the fleet's slots.
     /// The soak mode's boundedness probe.
     pub peak_resident: u64,
@@ -585,14 +585,7 @@ fn drive<C: Conn + ?Sized>(
                 }
             }
             Ev::Snap => {
-                conn.send(&Msg::Snapshot { at_ns: t })?;
-                match conn.recv()? {
-                    Msg::SnapshotRep { resident, .. } => {
-                        st.snapshots += 1;
-                        st.peak_resident = st.peak_resident.max(resident);
-                    }
-                    other => return Err(unexpected("SnapshotRep", &other)),
-                }
+                snapshot(conn, t, &mut st)?;
                 push(
                     &mut heap,
                     &mut seq,
@@ -604,6 +597,20 @@ fn drive<C: Conn + ?Sized>(
     }
     clock.sleep_until(SimTime::from_nanos(horizon_ns));
     Ok(st)
+}
+
+/// Takes one fleet snapshot on `conn` and folds its resident count into
+/// `st`.
+fn snapshot<C: Conn + ?Sized>(conn: &mut C, at_ns: u64, st: &mut DriverStats) -> io::Result<()> {
+    conn.send(&Msg::Snapshot { at_ns })?;
+    match conn.recv()? {
+        Msg::SnapshotRep { resident, .. } => {
+            st.snapshots += 1;
+            st.peak_resident = st.peak_resident.max(resident);
+            Ok(())
+        }
+        other => Err(unexpected("SnapshotRep", &other)),
+    }
 }
 
 /// Builds the merged [`LoadReport`] from per-driver stats (in driver
@@ -710,13 +717,14 @@ pub fn run_swarm<C: Conn + ?Sized>(
 /// own connection from `make_conn(driver)`, its own clock and its own
 /// latency estimators. Driver 0 runs on the calling thread and owns the
 /// end of the run: after every driver reaches the horizon it optionally
-/// drains the daemon (`drain` — the soak mode's graceful shutdown,
-/// proving the journal hit stable storage), then seals and collects the
-/// report.
+/// takes one last snapshot and drains the daemon (`drain` — the soak
+/// mode's graceful shutdown, proving the journal hit stable storage),
+/// then seals and collects the report.
 ///
 /// When `drain` is set this also asserts that no snapshot saw more
 /// resident sessions than the fleet has slots — the session-leak
-/// regression guard the soak mode exists to enforce.
+/// regression guard the soak mode exists to enforce. The last snapshot
+/// means a soak shorter than the snapshot cadence is checked too.
 pub fn run_swarm_threaded<C, F>(
     make_conn: F,
     spec: &LoadSpec,
@@ -764,14 +772,15 @@ where
     }
 
     // Every driver is done; driver 0's connection winds the run down.
+    let horizon_ns = spec.secs.saturating_mul(1_000_000_000);
     if drain {
+        snapshot(&mut conn0, horizon_ns, &mut stats[0])?;
         conn0.send(&Msg::Drain { at_ns: 0 })?;
         match conn0.recv()? {
             Msg::DrainAck { .. } => {}
             other => return Err(unexpected("DrainAck", &other)),
         }
     }
-    let horizon_ns = spec.secs.saturating_mul(1_000_000_000);
     conn0.send(&Msg::Seal { at_ns: horizon_ns })?;
     let serve_json = match conn0.recv()? {
         Msg::Report { json } => json,
@@ -804,7 +813,7 @@ fn unexpected(wanted: &str, got: &Msg) -> io::Error {
 pub struct InProcessRun {
     /// The swarm's measured report (daemon JSON embedded).
     pub load: LoadReport,
-    /// The daemon's sealed outcome (report, per-shard fleets + audits,
+    /// The daemon's sealed outcome (report, fleet report, audit,
     /// journal).
     pub outcome: ServeOutcome,
 }

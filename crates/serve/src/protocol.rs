@@ -29,10 +29,11 @@ use std::fmt;
 /// `HelloAck` and a `tracked` field in `SnapshotRep` and `DrainAck`. v3
 /// drops `tracked` from both: in `SnapshotRep` it always repeated
 /// `resident`, and in `DrainAck` it was stale, because a drain is not
-/// stamped and does not step the engines. Frames of any other version
+/// stamped and does not step the engines. v4 drops the shard count from
+/// `HelloAck`: the daemon runs one engine. Frames of any other version
 /// are rejected with [`WireError::UnknownVersion`] — the payload layouts
 /// differ, so silently accepting them would misparse.
-pub const PROTOCOL_VERSION: u8 = 3;
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Hard ceiling on the framed body size (version + type + payload).
 /// Generous for every real message (the largest is `Report`, a few KiB of
@@ -232,8 +233,6 @@ pub enum Msg {
         servers: u64,
         /// Session slots per server.
         slots: u64,
-        /// Daemon core shards behind the session-hash router.
-        shards: u64,
     },
     /// A session request: run `app_code` for `duration_ns`, arriving at
     /// `at_ns` on the serving timeline.
@@ -300,8 +299,8 @@ pub enum Msg {
         queued_now: u64,
         /// Servers currently serving.
         serving: u64,
-        /// Sessions resident in the engines (every shard's sum). The soak
-        /// mode's boundedness probe.
+        /// Sessions resident in the engine. The soak mode's boundedness
+        /// probe.
         resident: u64,
     },
     /// Seals admissions without sealing the run: subsequent `Open`s are
@@ -470,14 +469,12 @@ impl Msg {
                 epochs,
                 servers,
                 slots,
-                shards,
             } => {
                 put_u8(out, *protocol);
                 put_u64(out, *epoch_ns);
                 put_u64(out, *epochs);
                 put_u64(out, *servers);
                 put_u64(out, *slots);
-                put_u64(out, *shards);
             }
             Msg::Open {
                 req,
@@ -593,7 +590,6 @@ impl Msg {
                 epochs: cur.u64()?,
                 servers: cur.u64()?,
                 slots: cur.u64()?,
-                shards: cur.u64()?,
             },
             TAG_OPEN => Msg::Open {
                 req: cur.u64()?,

@@ -14,7 +14,6 @@ use std::fmt::Write as _;
 
 use pictor_core::fleet::{FleetAudit, FleetReport};
 use pictor_core::report::{csv_field, json_num};
-use pictor_sim::Histogram;
 
 /// Schema identifier embedded in the JSON document.
 pub const SERVE_SCHEMA: &str = "pictor-serve/v1";
@@ -48,17 +47,6 @@ pub struct IngressCounters {
 // reproducible from the journal, so including them would break the
 // replay-is-byte-identical guarantee. They live in
 // [`TransportStats`](crate::daemon::TransportStats) instead.
-
-/// One core shard's sealed results: the fleet report plus its
-/// invariant-checking audit trace. An unsharded daemon produces exactly
-/// one of these.
-#[derive(Debug)]
-pub struct ShardOutcome {
-    /// The shard's sealed fleet report.
-    pub fleet: FleetReport,
-    /// The shard's audit trace.
-    pub audit: FleetAudit,
-}
 
 /// The daemon's deterministic end-of-run report: ingress ledger plus the
 /// sealed fleet summary.
@@ -141,69 +129,6 @@ impl ServeReport {
             rtt_p50: fleet.rtt.p50(),
             rtt_p95: fleet.rtt.p95(),
             rtt_p99: fleet.rtt.p99(),
-        }
-    }
-
-    /// Assembles the report from the ingress ledger and the sealed
-    /// per-shard outcomes.
-    ///
-    /// A single shard takes the exact [`ServeReport::new`] path — no
-    /// float arithmetic touches the values, which is what keeps the
-    /// unsharded goldens byte-identical. Across shards, ledger counters
-    /// and session-epochs sum exactly; `peak_queue`/`peak_sessions` sum
-    /// per-shard peaks (an upper bound on the true simultaneous peak,
-    /// since shards need not peak together); `utilization` is the
-    /// server-weighted mean; and the tail quantiles are read from the
-    /// exact merge of the per-shard FPS and RTT histograms, so they equal
-    /// what one histogram over every shard's samples would report.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is empty.
-    pub fn merged(ingress: IngressCounters, virtual_clock: bool, shards: &[ShardOutcome]) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard outcome");
-        if shards.len() == 1 {
-            return ServeReport::new(ingress, virtual_clock, &shards[0].fleet, &shards[0].audit);
-        }
-        let servers: usize = shards.iter().map(|s| s.fleet.servers).sum();
-        let utilization = if servers > 0 {
-            shards
-                .iter()
-                .map(|s| s.fleet.utilization * s.fleet.servers as f64)
-                .sum::<f64>()
-                / servers as f64
-        } else {
-            0.0
-        };
-        let mut fps = Histogram::new();
-        let mut rtt = Histogram::new();
-        for s in shards {
-            fps.merge(&s.fleet.fps);
-            rtt.merge(&s.fleet.rtt);
-        }
-        ServeReport {
-            servers,
-            slots_per_server: shards[0].fleet.slots_per_server,
-            epochs: shards[0].fleet.epochs,
-            epoch_ns: shards[0].fleet.epoch.as_nanos(),
-            // Shard 0 keeps the base engine's seed.
-            seed: shards[0].fleet.seed,
-            virtual_clock,
-            ingress,
-            fleet_offered: shards.iter().map(|s| s.audit.offered).sum(),
-            fleet_admitted: shards.iter().map(|s| s.audit.admitted).sum(),
-            fleet_rejected: shards.iter().map(|s| s.audit.rejected).sum(),
-            fleet_queued: shards.iter().map(|s| s.audit.queued).sum(),
-            fleet_retried: shards.iter().map(|s| s.audit.retried).sum(),
-            fleet_expired: shards.iter().map(|s| s.audit.expired).sum(),
-            peak_queue: shards.iter().map(|s| s.audit.peak_queue).sum(),
-            peak_sessions: shards.iter().map(|s| s.fleet.peak_sessions).sum(),
-            utilization,
-            session_epochs: shards.iter().map(|s| s.fleet.session_epochs).sum(),
-            fps_p50: fps.p50(),
-            rtt_p50: rtt.p50(),
-            rtt_p95: rtt.p95(),
-            rtt_p99: rtt.p99(),
         }
     }
 

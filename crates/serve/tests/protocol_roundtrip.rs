@@ -47,7 +47,6 @@ fn build_msg(pick: u8, a: u64, b: u64, c: u64, d: u64, s: &[u8]) -> Msg {
             epochs: c,
             servers: d,
             slots: a % 61,
-            shards: b % 17,
         },
         2 => Msg::Open {
             req: a,

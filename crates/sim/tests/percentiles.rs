@@ -1,7 +1,7 @@
 //! Pins the log-linear [`Histogram`] against exact sorted-slice
 //! percentiles on adversarial input distributions.
 //!
-//! The fleet report, the sharded daemon report and the load swarm all read
+//! The fleet report, the daemon report and the load swarm all read
 //! their p50/p95/p99 tails from [`Histogram`], so every quantile must stay
 //! within the layout's stated bound — 2⁻⁸ (0.39%) of
 //! [`Distribution::percentile`] over the same samples — on the shapes that

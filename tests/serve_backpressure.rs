@@ -36,7 +36,7 @@ fn flash_crowd_conserves_every_request_through_the_bounded_queue() {
     let run = run_in_process(&engine, &opts, &spec);
     let load = &run.load;
     let ingress = run.outcome.report.ingress;
-    let audit = &run.outcome.shards[0].audit;
+    let audit = &run.outcome.audit;
 
     // The probe actually saturates: every pressure path fires.
     assert!(

@@ -399,7 +399,7 @@ fn grant(
     }
 }
 
-fn hello_core(engines: &[pictor::core::fleet::FleetEngine]) -> ServeCore<'_> {
+fn hello_core(engines: &[pictor::core::fleet::FleetEngine; 1]) -> ServeCore<'_> {
     let mut core = ServeCore::new(engines, &base_opts());
     let hello = Msg::Hello {
         client: 1,

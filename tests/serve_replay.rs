@@ -68,8 +68,6 @@ fn replay_reproduces_live_report_and_matches_golden() {
         entries.len() as u64,
         run.outcome.report.ingress.journaled_events
     );
-    // A single-shard recording carries no shard markers.
-    assert!(entries.iter().all(|e| e.shard == 0));
     let replayed = replay(&probe(), 1, &entries, THREADS);
     assert_eq!(
         replayed.report.to_json(),

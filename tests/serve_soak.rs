@@ -13,34 +13,40 @@ use std::sync::mpsc::channel;
 use std::thread;
 
 use pictor::serve::{
-    run_in_process, run_swarm_threaded, serve_engine, ChannelConn, LoadSpec, ServeOptions,
+    run_daemon, run_in_process, run_swarm_threaded, serve_engine, ChannelConn, LoadReport,
+    LoadSpec, ServeOptions, ServeOutcome,
 };
 
-#[test]
-fn multi_driver_drain_soak_stays_bounded() {
+/// Drives `spec` against a 4x4 virtual-clock daemon, draining before the
+/// seal (which arms the boundedness guard).
+fn drain_soak(spec: &LoadSpec) -> (LoadReport, ServeOutcome) {
     let engine = serve_engine(4, 4, 40, 250, 2020, 8);
     let opts = ServeOptions {
         virtual_clock: true,
         threads: 2,
         ..ServeOptions::default()
     };
-    let mut spec = LoadSpec::closed(128, 10, 3);
-    spec.drivers = 4;
-
     let (tx, rx) = channel();
-    let (load, outcome) = thread::scope(|s| {
-        let daemon = s.spawn(|| pictor::serve::run_daemon(&engine, &opts, rx));
+    thread::scope(|s| {
+        let daemon = s.spawn(|| run_daemon(&engine, &opts, rx));
         let load = run_swarm_threaded(
             |d| Ok(ChannelConn::connect(d + 1, &tx)),
-            &spec,
+            spec,
             true,
             "in-process",
-            true, // drain before sealing — arms the boundedness guard
+            true,
         )
         .expect("threaded swarm");
         drop(tx);
         (load, daemon.join().expect("daemon thread"))
-    });
+    })
+}
+
+#[test]
+fn multi_driver_drain_soak_stays_bounded() {
+    let mut spec = LoadSpec::closed(128, 10, 3);
+    spec.drivers = 4;
+    let (load, outcome) = drain_soak(&spec);
 
     assert_eq!(load.drivers, 4);
     assert!(
@@ -72,6 +78,24 @@ fn multi_driver_drain_soak_stays_bounded() {
         load.admit_p95_us,
         load.admit_p99_us,
         load.admit_max_us
+    );
+}
+
+/// A soak shorter than its snapshot cadence schedules no snapshot, so
+/// the swarm takes one before the drain: the guard always reads the
+/// resident count.
+#[test]
+fn short_soak_snapshots_once_before_the_drain() {
+    let mut spec = LoadSpec::closed(32, 3, 3);
+    spec.drivers = 2;
+    assert!(spec.snapshot_every_secs > spec.secs);
+    let (load, outcome) = drain_soak(&spec);
+    assert!(load.admitted > 0, "swarm admitted nothing");
+    assert_eq!(load.snapshots, 1);
+    assert_eq!(outcome.report.ingress.snapshots, 1);
+    assert!(
+        load.peak_resident > 0,
+        "the snapshot saw no resident session"
     );
 }
 
