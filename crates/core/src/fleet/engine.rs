@@ -157,6 +157,10 @@ pub struct Placement {
 /// full admission ledger. The property suite
 /// (`crates/core/tests/fleet_invariants.rs`) audits conservation, capacity
 /// and no-drop guarantees from this, independently of the report.
+///
+/// [`LiveFleet::finish`] hands the engine's segment table over to build
+/// [`FleetAudit::placements`] in place, so a sealed run holds its segments
+/// once: about 48 B per admitted segment.
 #[derive(Debug, Clone, Default)]
 pub struct FleetAudit {
     /// Placement attempts (initial offers + backpressure re-offers).
@@ -527,7 +531,9 @@ impl<'a> LiveFleet<'a> {
     /// Seals the run: drains every remaining internal arrival, advances to
     /// the horizon, runs the data plane on `threads` OS threads (folded per
     /// worker, merged exactly) and builds the report and its audit trace.
-    /// The result is byte-identical for any `threads >= 1`.
+    /// The result is byte-identical for any `threads >= 1`. The audit's
+    /// placements reuse the segment table's allocation, so sealing adds
+    /// no copy of it.
     ///
     /// # Panics
     ///
@@ -2031,6 +2037,22 @@ impl<'a> EngineState<'a> {
         self.fl.fault_rtt_violations = tally.fault_rtt_violations;
 
         let occupied: u64 = self.segs.iter().map(|s| s.end - s.start).sum();
+        drop(by_server);
+        // The audit takes the segment table over: std's in-place collect
+        // reuses its allocation for the placements (same alignment, 48 B
+        // in, 40 B out), so sealing a run never holds every segment twice.
+        // `crates/core/tests/finish_alloc.rs` fails if it allocates afresh.
+        let placements: Vec<Placement> = std::mem::take(&mut self.segs)
+            .into_iter()
+            .filter(|s| !s.is_void())
+            .map(|s| Placement {
+                session: s.session,
+                server: s.server,
+                start_epoch: s.start,
+                end_epoch: s.end,
+                gpu_mib: s.app.profile.gpu_memory_mib,
+            })
+            .collect();
         let active_slot_epochs: u64 = self
             .srv
             .iter()
@@ -2114,18 +2136,7 @@ impl<'a> EngineState<'a> {
             migrations: self.migrations,
             peak_queue: self.peak_queue,
             slots_per_server: eng.slots_per_server,
-            placements: self
-                .segs
-                .iter()
-                .filter(|s| !s.is_void())
-                .map(|s| Placement {
-                    session: s.session,
-                    server: s.server,
-                    start_epoch: s.start,
-                    end_epoch: s.end,
-                    gpu_mib: s.app.profile.gpu_memory_mib,
-                })
-                .collect(),
+            placements,
             gpu_capacity_mib: (0..self.srv.len()).map(|i| self.pristine_mib(i)).collect(),
             capacity_steps: self.capacity_steps.clone(),
             activity: self.srv.iter().map(|s| s.activity.clone()).collect(),

@@ -5,8 +5,11 @@
 //! crowd, then seals the run and reports achieved throughput plus
 //! admit-latency tails (`pictor-serve-load/v2`).
 //!
-//! Flags are listed in [`USAGE`]; an unknown flag, a missing value or a
-//! number that does not parse prints it and exits with status 2.
+//! Flags are listed in [`USAGE`]; an unknown flag, a missing value, a
+//! number that does not parse, a zero count or length or a negative rate
+//! prints it and exits with status 2. A daemon that cannot be reached or
+//! a report that cannot be written prints `pictor-load: <what>: <error>`
+//! and exits with status 1.
 //! `--addr HOST:PORT` drives a live daemon; without it daemon and swarm
 //! run in one process. `--rate R` is the open-loop rate in req/s and
 //! `--ramp R2` its rate at the horizon. `--drivers N` partitions the
@@ -60,6 +63,14 @@ fn measured_secs() -> u64 {
         .unwrap_or(20)
 }
 
+/// Prints `pictor-load: {what}: {err}` to stderr and exits with status
+/// 1: the command line was fine, but the run could not read or write what
+/// it needed.
+fn fail(what: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("pictor-load: {what}: {err}");
+    std::process::exit(1)
+}
+
 fn main() {
     let args = Args::parse(
         USAGE,
@@ -72,11 +83,15 @@ fn main() {
 
     let mut spec = LoadSpec::closed(
         args.num("--clients", 256),
-        args.num("--secs", default_secs),
+        args.pos("--secs", default_secs),
         args.num("--seed", master_seed()),
     );
     spec.open_rate_per_sec = args.num("--rate", 0.0);
     spec.open_rate_end_per_sec = args.opt("--ramp");
+    let rate_ok = |r: f64| (0.0..).contains(&r);
+    if !rate_ok(spec.open_rate_per_sec) || !spec.open_rate_end_per_sec.is_none_or(rate_ok) {
+        args.fail("--rate and --ramp want a rate of at least 0");
+    }
     let flash = args.value("--flash").unwrap_or("0@0");
     let (burst, at) = flash
         .split_once('@')
@@ -89,9 +104,9 @@ fn main() {
     }
     spec.poll_every = args.num("--poll-every", spec.poll_every);
     spec.snapshot_every_secs = args.num("--snapshot-every", spec.snapshot_every_secs);
-    spec.mean_session_secs = args.num("--session-secs", spec.mean_session_secs);
-    spec.mean_think_secs = args.num("--think-secs", spec.mean_think_secs);
-    spec.drivers = args.num("--drivers", 1);
+    spec.mean_session_secs = args.pos("--session-secs", spec.mean_session_secs);
+    spec.mean_think_secs = args.pos("--think-secs", spec.mean_think_secs);
+    spec.drivers = args.pos("--drivers", 1);
     spec.token = args.value("--token").unwrap_or_default().to_string();
     let soak: Option<u64> = args.opt("--soak");
     match soak {
@@ -129,36 +144,37 @@ fn main() {
                 "tcp",
                 soak.is_some(),
             )
-            .unwrap_or_else(|e| panic!("swarm: {e}"))
+            .unwrap_or_else(|e| fail("swarm", e))
         } else {
-            let mut conn = TcpConn::connect(addr).unwrap_or_else(|e| panic!("connect {addr}: {e}"));
+            let mut conn =
+                TcpConn::connect(addr).unwrap_or_else(|e| fail(&format!("connect {addr}"), e));
             let mut clock = if virtual_pace {
                 SimClock::virtual_start()
             } else {
                 SimClock::wall_start()
             };
-            run_swarm(&mut conn, &spec, &mut clock, "tcp").unwrap_or_else(|e| panic!("swarm: {e}"))
+            run_swarm(&mut conn, &spec, &mut clock, "tcp").unwrap_or_else(|e| fail("swarm", e))
         }
     } else {
-        let servers = args.num("--servers", 16);
+        let servers = args.pos("--servers", 16);
         let engine = serve_engine(
             servers,
-            args.num("--slots", 4),
-            args.num("--epochs", default_secs + 30),
-            args.num("--epoch-ms", 1000),
+            args.pos("--slots", 4),
+            args.pos("--epochs", default_secs + 30),
+            args.pos("--epoch-ms", 1000),
             spec.seed,
             args.num("--queue", servers * 2),
         );
         let opts = ServeOptions {
             virtual_clock: true,
             record: args.value("--record").is_some(),
-            threads: args.num("--threads", 4),
+            threads: args.pos("--threads", 4),
             token: (!spec.token.is_empty()).then(|| spec.token.clone()),
             journal_path: None,
         };
         let run = run_in_process(&engine, &opts, &spec);
         if let (Some(path), Some(journal)) = (args.value("--record"), &run.outcome.journal) {
-            std::fs::write(path, journal).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            std::fs::write(path, journal).unwrap_or_else(|e| fail(&format!("write {path}"), e));
             println!("journal: {} bytes -> {path}", journal.len());
         }
         run.load
@@ -167,15 +183,16 @@ fn main() {
     let json = report.to_json();
     if let Ok(dir) = std::env::var("PICTOR_REPORT_DIR") {
         let dir = std::path::Path::new(&dir);
-        std::fs::create_dir_all(dir).expect("create PICTOR_REPORT_DIR");
         let path = dir.join("serve_load.json");
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, &json))
+            .unwrap_or_else(|e| fail(&format!("write {}", path.display()), e));
     }
     if let Some(path) = args.value("--out") {
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, &json).unwrap_or_else(|e| fail(&format!("write {path}"), e));
     }
     if let Some(path) = args.value("--csv") {
-        std::fs::write(path, report.to_csv()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, report.to_csv()).unwrap_or_else(|e| fail(&format!("write {path}"), e));
     }
 
     println!(

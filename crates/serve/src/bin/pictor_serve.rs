@@ -5,8 +5,12 @@
 //! the run, at which point the daemon runs the data plane, writes its
 //! deterministic `pictor-serve/v1` report, and exits.
 //!
-//! Flags are listed in [`USAGE`]; an unknown flag, a missing value or a
-//! number that does not parse prints it and exits with status 2.
+//! Flags are listed in [`USAGE`]; an unknown flag, a missing value, a
+//! number that does not parse or a zero engine count or length prints it
+//! and exits with status 2. A journal that cannot be read or recovered or
+//! whose stamps go backwards, an address that cannot be bound, or a report
+//! that cannot be written prints `pictor-serve: <what>: <error>` and exits
+//! with status 1.
 //! `--virtual` stamps ingress from client-supplied timestamps instead of
 //! the wall clock (deterministic serving for tests and recording runs).
 //! `--auth-token TOK` requires every connection to present the token in
@@ -41,6 +45,14 @@ fn master_seed() -> u64 {
         .unwrap_or(2020)
 }
 
+/// Prints `pictor-serve: {what}: {err}` to stderr and exits with status
+/// 1: the command line was fine, but the run could not read or write what
+/// it needed.
+fn fail(what: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("pictor-serve: {what}: {err}");
+    std::process::exit(1)
+}
+
 fn main() {
     let args = Args::parse(
         USAGE,
@@ -48,21 +60,34 @@ fn main() {
          --record --replay --out",
         "--virtual",
     );
-    let servers = args.num("--servers", 16);
-    let slots = args.num("--slots", 4);
-    let epochs = args.num("--epochs", 120);
-    let epoch_ms = args.num("--epoch-ms", 1000);
+    let servers = args.pos("--servers", 16);
+    let slots = args.pos("--slots", 4);
+    let epochs = args.pos("--epochs", 120);
+    let epoch_ms = args.pos("--epoch-ms", 1000);
     let seed = args.num("--seed", master_seed());
     let queue = args.num("--queue", servers * 2);
     let engine = serve_engine(servers, slots, epochs, epoch_ms, seed, queue);
-    let threads = args.num("--threads", 1);
+    let threads = args.pos("--threads", 1);
     let virtual_clock = args.switch("--virtual");
     let record = args.value("--record");
 
     let outcome = if let Some(path) = args.value("--replay") {
-        let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&format!("read {path}"), e));
         let recovered =
-            JournalReader::recover(&bytes).unwrap_or_else(|e| panic!("recover {path}: {e}"));
+            JournalReader::recover(&bytes).unwrap_or_else(|e| fail(&format!("recover {path}"), e));
+        // Replay needs nondecreasing stamps; a journal whose records all
+        // decode but whose stamps go backwards is corrupt too.
+        if let Some(w) = recovered
+            .entries
+            .windows(2)
+            .find(|w| w[1].event.at_ns() < w[0].event.at_ns())
+        {
+            let (before, after) = (w[0].event.at_ns(), w[1].event.at_ns());
+            fail(
+                &format!("replay {path}"),
+                format!("journal stamps go backwards ({after} ns after {before} ns)"),
+            );
+        }
         if recovered.truncated_bytes > 0 {
             println!(
                 "pictor-serve: journal has a torn tail ({} bytes past the last complete \
@@ -84,7 +109,7 @@ fn main() {
         replay_with(&engine, &opts, &recovered.entries)
     } else {
         let addr = args.value("--addr").unwrap_or("127.0.0.1:9230");
-        let listener = TcpListener::bind(addr).unwrap_or_else(|e| panic!("bind {addr}: {e}"));
+        let listener = TcpListener::bind(addr).unwrap_or_else(|e| fail(&format!("bind {addr}"), e));
         let addr = listener.local_addr().expect("local addr");
         println!(
             "pictor-serve: {} servers x {} slots, {} epochs of {} ms, seed {}, auth {}, \
@@ -127,12 +152,13 @@ fn main() {
     let json = outcome.report.to_json();
     if let Ok(dir) = std::env::var("PICTOR_REPORT_DIR") {
         let dir = std::path::Path::new(&dir);
-        std::fs::create_dir_all(dir).expect("create PICTOR_REPORT_DIR");
         let path = dir.join("serve.json");
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, &json))
+            .unwrap_or_else(|e| fail(&format!("write {}", path.display()), e));
     }
     if let Some(path) = args.value("--out") {
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, &json).unwrap_or_else(|e| fail(&format!("write {path}"), e));
     }
 
     let i = &outcome.report.ingress;

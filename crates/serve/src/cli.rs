@@ -3,10 +3,12 @@
 //!
 //! Each binary names its valued flags and its switches. [`Args::parse`]
 //! checks every argument against those lists: an unknown flag, a valued
-//! flag without its value, or (through [`Args::opt`]) a value that does
-//! not parse prints the message and the usage to stderr and exits with
+//! flag without its value, (through [`Args::opt`]) a value that does not
+//! parse, or (through [`Args::pos`]) a count or length that is not
+//! positive prints the message and the usage to stderr and exits with
 //! status 2, before any socket is bound or any swarm runs.
 
+use std::cmp::Ordering;
 use std::str::FromStr;
 
 /// A checked command line.
@@ -62,6 +64,16 @@ impl Args {
     /// [`Args::opt`], or `default` when `flag` is absent.
     pub fn num<T: FromStr>(&self, flag: &str, default: T) -> T {
         self.opt(flag).unwrap_or(default)
+    }
+
+    /// [`Args::num`] for a count or length that must be positive: zero (or
+    /// a float not above zero) fails like a value that does not parse.
+    pub fn pos<T: FromStr + PartialOrd + Default>(&self, flag: &str, default: T) -> T {
+        let v = self.num(flag, default);
+        if v.partial_cmp(&T::default()) != Some(Ordering::Greater) {
+            self.fail(&format!("{flag} wants a positive number"));
+        }
+        v
     }
 
     /// True when the switch `flag` was given.

@@ -1,13 +1,17 @@
 //! Both binaries refuse a command line they do not fully understand: an
-//! unknown flag, a flag without its value or a number that does not
-//! parse exits with status 2 and the usage on stderr, before any socket
-//! is bound or any swarm runs.
+//! unknown flag, a flag without its value, a number that does not parse
+//! or a zero count or length exits with status 2 and the usage on
+//! stderr, before any socket is bound or any swarm runs. A run that
+//! cannot read its input exits with status 1 and one line on stderr,
+//! not a panic.
 //!
 //! The `pictor-serve` cases also pass `--replay` of a missing file, so a
 //! binary that ignored the bad flag would fail to read the journal (or
 //! exit 0) rather than listen forever.
 
 use std::process::Command;
+
+use pictor_serve::{IngressEvent, JournalWriter};
 
 fn assert_usage_error(bin: &str, args: &[&str]) {
     let out = Command::new(bin)
@@ -35,9 +39,46 @@ fn pictor_serve_rejects_bad_flags() {
         vec!["--replay", j, "--no-such-flag"],
         vec!["--replay", j, "--servers"],
         vec!["--replay", j, "--servers", "x"],
+        vec!["--replay", j, "--servers", "0"],
+        vec!["--replay", j, "--slots", "0"],
+        vec!["--replay", j, "--epochs", "0"],
+        vec!["--replay", j, "--epoch-ms", "0"],
+        vec!["--replay", j, "--threads", "0"],
     ] {
         assert_usage_error(bin, &args);
     }
+}
+
+/// Runs `pictor-serve --replay journal` and checks it failed with status
+/// 1 and the one-line `pictor-serve: <what>: <error>` message, no panic.
+fn assert_replay_error(journal: &str, what: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_pictor-serve"))
+        .args(["--replay", journal])
+        .output()
+        .expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("pictor-serve: {what} ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn pictor_serve_reports_a_missing_journal() {
+    assert_replay_error(&missing_journal(), "read");
+}
+
+#[test]
+fn pictor_serve_reports_a_journal_whose_stamps_go_backwards() {
+    let mut journal = JournalWriter::new();
+    for at_ns in [2_000, 1_000] {
+        journal.record(&IngressEvent::Snapshot { conn: 0, at_ns });
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("backwards.journal");
+    std::fs::write(&path, journal.into_bytes()).expect("write the journal");
+    assert_replay_error(&path.to_string_lossy(), "replay");
 }
 
 #[test]
@@ -45,4 +86,16 @@ fn pictor_load_rejects_bad_flags() {
     let bin = env!("CARGO_BIN_EXE_pictor-load");
     assert_usage_error(bin, &["--full"]);
     assert_usage_error(bin, &["--shards", "2"]);
+    assert_usage_error(bin, &["--secs", "0"]);
+    assert_usage_error(bin, &["--rate", "-1"]);
+    for flag in [
+        "--drivers",
+        "--threads",
+        "--servers",
+        "--slots",
+        "--epochs",
+        "--epoch-ms",
+    ] {
+        assert_usage_error(bin, &[flag, "0", "--secs", "1"]);
+    }
 }
