@@ -39,6 +39,13 @@ pub const SIM_WIDTH: usize = 96;
 /// See [`SIM_WIDTH`].
 pub const SIM_HEIGHT: usize = 54;
 
+/// Bytes per block in [`Frame::diff_fraction`]: 32 whole pixels, and the
+/// raster is a whole number of blocks.
+const DIFF_BLOCK: usize = 96;
+const _: () = assert!(
+    DIFF_BLOCK.is_multiple_of(3) && (SIM_WIDTH * SIM_HEIGHT * 3).is_multiple_of(DIFF_BLOCK)
+);
+
 /// A rendered frame.
 ///
 /// # Example
@@ -186,17 +193,25 @@ impl Frame {
     ///
     /// Drives both the compression model (VNC encodes deltas) and
     /// DeskBench's frame-similarity gate.
+    ///
+    /// Branch-free, so it vectorizes: each block of bytes becomes 0/1
+    /// inequality flags, which are ORed three at a time, one OR per pixel.
+    /// That holds because a pixel is three consecutive bytes and every
+    /// block starts on a pixel and holds whole pixels.
     pub fn diff_fraction(&self, other: &Frame) -> f64 {
         let mut diff = 0usize;
-        let total = SIM_WIDTH * SIM_HEIGHT;
-        for i in 0..total {
-            let a = &self.pixels[i * 3..i * 3 + 3];
-            let b = &other.pixels[i * 3..i * 3 + 3];
-            if a != b {
-                diff += 1;
+        let blocks = self.pixels.chunks_exact(DIFF_BLOCK);
+        for (a, b) in blocks.zip(other.pixels.chunks_exact(DIFF_BLOCK)) {
+            let mut flags = [0u8; DIFF_BLOCK];
+            for ((f, x), y) in flags.iter_mut().zip(a).zip(b) {
+                *f = u8::from(x != y);
             }
+            diff += flags
+                .chunks_exact(3)
+                .map(|p| usize::from(p[0] | p[1] | p[2]))
+                .sum::<usize>();
         }
-        diff as f64 / total as f64
+        diff as f64 / (SIM_WIDTH * SIM_HEIGHT) as f64
     }
 
     /// Mean absolute per-channel difference versus `other`, normalized to
@@ -216,6 +231,54 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-pixel loop [`Frame::diff_fraction`] replaced: the reference
+    /// it must equal bit for bit.
+    fn diff_fraction_reference(a: &Frame, b: &Frame) -> f64 {
+        let mut diff = 0usize;
+        let total = SIM_WIDTH * SIM_HEIGHT;
+        for i in 0..total {
+            if a.pixels[i * 3..i * 3 + 3] != b.pixels[i * 3..i * 3 + 3] {
+                diff += 1;
+            }
+        }
+        diff as f64 / total as f64
+    }
+
+    #[test]
+    fn diff_fraction_matches_the_per_pixel_reference() {
+        let mut rng = SmallRng::seed_from_u64(0xd1ff);
+        let n = SIM_WIDTH * SIM_HEIGHT * 3;
+        let mut base = Frame::new(0);
+        base.bytes_mut().fill_with(|| rng.gen_range(0..=255u8));
+        let mut pairs = Vec::new();
+        // One channel of the first or of the last pixel.
+        for i in [0, 1, 2, n - 3, n - 2, n - 1] {
+            let mut other = base.clone();
+            other.bytes_mut()[i] ^= 1 << rng.gen_range(0..8u32);
+            pairs.push((base.clone(), other));
+        }
+        // Random frames with 0 to all of their bytes changed.
+        for _ in 0..200 {
+            let mut a = Frame::new(1);
+            a.bytes_mut().fill_with(|| rng.gen_range(0..=3u8));
+            let mut b = a.clone();
+            let changes = rng.gen_range(0..=n);
+            for _ in 0..changes {
+                let i = rng.gen_range(0..n);
+                b.bytes_mut()[i] = rng.gen_range(0..=3u8);
+            }
+            pairs.push((a, b));
+        }
+        for (i, (a, b)) in pairs.iter().enumerate() {
+            let want = diff_fraction_reference(a, b);
+            assert_eq!(a.diff_fraction(b).to_bits(), want.to_bits(), "pair {i}");
+            assert_eq!(b.diff_fraction(a).to_bits(), want.to_bits(), "pair {i}");
+        }
+        assert_eq!(pairs[0].0.diff_fraction(&pairs[0].1), 1.0 / 5184.0);
+    }
 
     #[test]
     fn new_frame_is_black() {

@@ -9,6 +9,35 @@
 
 use crate::frame::{Frame, SIM_HEIGHT, SIM_WIDTH};
 
+/// Bytes in one raster row (RGB).
+const ROW_BYTES: usize = SIM_WIDTH * 3;
+
+/// The background's per-channel weights (warm neutral: R ≥ G ≥ B), repeated
+/// across a row so the background loop reads them with unit stride.
+const ROW_WEIGHTS: [f64; ROW_BYTES] = {
+    let mut w = [0.0; ROW_BYTES];
+    let mut i = 0;
+    while i < ROW_BYTES {
+        w[i] = [0.80, 0.74, 0.68][i % 3];
+        i += 1;
+    }
+    w
+};
+
+/// `x as u8` for every `f64`: NaN and anything below 1 give 0, anything
+/// from 255 up gives 255, and the rest truncate toward zero.
+///
+/// Rust's saturating cast stays scalar in loops (LLVM keeps `fptoui.sat`
+/// per element); this form vectorizes. After the clamp and `trunc`, the
+/// value is an integer in `[0, 255]`, and adding 2⁵² to such a value is
+/// exact and leaves it in the low bits of the mantissa, so its low byte is
+/// the value. A NaN falls to 0 at `max`, which returns the other operand.
+#[inline]
+#[allow(clippy::manual_clamp)] // `clamp` keeps a NaN, which must become 0
+fn saturating_u8(x: f64) -> u8 {
+    (x.max(0.0).min(255.0).trunc() + 4_503_599_627_370_496.0).to_bits() as u8
+}
+
 /// An object instance visible in a frame, in normalized screen coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneObject {
@@ -93,20 +122,20 @@ pub fn draw_scene_into(frame: &mut Frame, objects: &[SceneObject], camera: f64, 
     // Background: a warm-neutral vertical gradient panned by the camera.
     // Neutral hue keeps every palette color separable from the backdrop.
     // The horizontal term depends only on x, so its sin() is hoisted out of
-    // the row loop (one evaluation per column instead of per pixel).
-    let mut col = [0.0f64; SIM_WIDTH];
-    for (x, c) in col.iter_mut().enumerate() {
+    // the row loop (one evaluation per column instead of per pixel) and
+    // stored once per channel: the row loop then runs over bytes with unit
+    // stride and vectorizes.
+    let mut col = [0.0f64; ROW_BYTES];
+    for (x, c) in col.chunks_exact_mut(3).enumerate() {
         let fx = (x as f64 / SIM_WIDTH as f64 + camera).rem_euclid(1.0);
         // Non-harmonic horizontal frequency so no camera shift maps the
         // background onto itself.
-        *c = 25.0 * (fx * std::f64::consts::TAU * 1.37).sin();
+        c.fill(25.0 * (fx * std::f64::consts::TAU * 1.37).sin());
     }
-    for y in 0..SIM_HEIGHT {
-        let fy = y as f64 / SIM_HEIGHT as f64;
-        let row = 40.0 + 60.0 * fy;
-        for (x, c) in col.iter().enumerate() {
-            let v = (row + c) * amb;
-            frame.set_pixel(x, y, [(v * 0.80) as u8, (v * 0.74) as u8, (v * 0.68) as u8]);
+    for (y, bytes) in frame.bytes_mut().chunks_exact_mut(ROW_BYTES).enumerate() {
+        let row = 40.0 + 60.0 * (y as f64 / SIM_HEIGHT as f64);
+        for ((b, c), w) in bytes.iter_mut().zip(&col).zip(&ROW_WEIGHTS) {
+            *b = saturating_u8((row + c) * amb * w);
         }
     }
     for obj in objects {
@@ -151,6 +180,116 @@ fn draw_object(frame: &mut Frame, obj: &SceneObject) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-pixel loop [`draw_scene_into`] replaced, with Rust's
+    /// saturating casts: the reference its frames must equal byte for byte.
+    fn draw_scene_reference(
+        frame_id: u64,
+        objects: &[SceneObject],
+        camera: f64,
+        ambient: f64,
+    ) -> Frame {
+        let mut frame = Frame::new(frame_id);
+        let ambient = ambient.clamp(0.0, 1.0);
+        let amb = 0.5 + 0.5 * ambient;
+        let mut col = [0.0f64; SIM_WIDTH];
+        for (x, c) in col.iter_mut().enumerate() {
+            let fx = (x as f64 / SIM_WIDTH as f64 + camera).rem_euclid(1.0);
+            *c = 25.0 * (fx * std::f64::consts::TAU * 1.37).sin();
+        }
+        for y in 0..SIM_HEIGHT {
+            let fy = y as f64 / SIM_HEIGHT as f64;
+            let row = 40.0 + 60.0 * fy;
+            for (x, c) in col.iter().enumerate() {
+                let v = (row + c) * amb;
+                frame.set_pixel(x, y, [(v * 0.80) as u8, (v * 0.74) as u8, (v * 0.68) as u8]);
+            }
+        }
+        for obj in objects {
+            draw_object(&mut frame, obj);
+        }
+        frame
+    }
+
+    #[test]
+    fn saturating_u8_equals_the_cast() {
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            0.0f64.next_up(),
+            0.0f64.next_down(),
+            -0.5,
+            1.0f64.next_down(),
+            255.0f64.next_down(),
+            255.0,
+            255.5,
+            256.0,
+            4_503_599_627_370_496.0,
+            4_503_599_627_370_496.0 + 1.0,
+            9_007_199_254_740_992.0,
+            18_446_744_073_709_551_616.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+        ];
+        // A dense sweep of [-3, 260] in steps of 2⁻¹²: every integer, every
+        // half and the values just around them.
+        xs.extend((-3 * 4096..=260 * 4096).map(|i| f64::from(i) / 4096.0));
+        // Both as a loop the compiler can vectorize and one value at a time.
+        let vector: Vec<u8> = xs.iter().map(|&x| saturating_u8(x)).collect();
+        for (&x, &v) in xs.iter().zip(&vector) {
+            let scalar = saturating_u8(std::hint::black_box(x));
+            assert_eq!(v, x as u8, "vectorized, x = {x:e}");
+            assert_eq!(scalar, x as u8, "scalar, x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn background_matches_the_per_pixel_reference_on_random_scenes() {
+        let mut rng = SmallRng::seed_from_u64(0x9ac7);
+        let edges = [0.0, 1.0, -0.25, 1.25];
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for case in 0..300 {
+            let objects: Vec<SceneObject> = (0..rng.gen_range(0..=25usize))
+                .map(|_| {
+                    let mut pos = || {
+                        if rng.gen_bool(0.3) {
+                            edges[rng.gen_range(0..edges.len())]
+                        } else {
+                            rng.gen_range(-0.2..1.2)
+                        }
+                    };
+                    let (x, y) = (pos(), pos());
+                    SceneObject {
+                        class: rng.gen_range(0..=255u8),
+                        x,
+                        y,
+                        size: rng.gen_range(-0.5..2.0),
+                        phase: rng.gen_range(-1.0..2.0),
+                    }
+                })
+                .collect();
+            let mut camera = rng.gen_range(-3.0..3.0);
+            let mut ambient = rng.gen_range(-1.0..2.0);
+            match case % 6 {
+                0 => camera = special[rng.gen_range(0..special.len())],
+                1 => ambient = special[rng.gen_range(0..special.len())],
+                _ => {}
+            }
+            let want = draw_scene_reference(case, &objects, camera, ambient);
+            let got = draw_scene(case, &objects, camera, ambient);
+            assert_eq!(got, want, "case {case}: camera={camera} ambient={ambient}");
+        }
+    }
 
     #[test]
     fn empty_scene_is_pure_background() {
@@ -229,6 +368,8 @@ mod tests {
             reused.set_id(5);
             draw_scene_into(&mut reused, &objs, camera, ambient);
             assert_eq!(fresh, reused, "camera={camera} ambient={ambient}");
+            let reference = draw_scene_reference(5, &objs, camera, ambient);
+            assert_eq!(fresh, reference, "camera={camera} ambient={ambient}");
         }
     }
 

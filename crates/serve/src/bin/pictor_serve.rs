@@ -8,9 +8,9 @@
 //! Flags are listed in [`USAGE`]; an unknown flag, a missing value, a
 //! number that does not parse or a zero engine count or length prints it
 //! and exits with status 2. A journal that cannot be read or recovered or
-//! whose stamps go backwards, an address that cannot be bound, or a report
-//! that cannot be written prints `pictor-serve: <what>: <error>` and exits
-//! with status 1.
+//! whose stamps go backwards, a `--record` journal that cannot be created,
+//! an address that cannot be bound, or a report that cannot be written
+//! prints `pictor-serve: <what>: <error>` and exits with status 1.
 //! `--virtual` stamps ingress from client-supplied timestamps instead of
 //! the wall clock (deterministic serving for tests and recording runs).
 //! `--auth-token TOK` requires every connection to present the token in
@@ -108,6 +108,11 @@ fn main() {
         };
         replay_with(&engine, &opts, &recovered.entries)
     } else {
+        // Create the journal before binding, so a path that cannot be
+        // created fails here rather than after the daemon announced it.
+        if let Some(path) = record {
+            std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("create {path}"), e));
+        }
         let addr = args.value("--addr").unwrap_or("127.0.0.1:9230");
         let listener = TcpListener::bind(addr).unwrap_or_else(|e| fail(&format!("bind {addr}"), e));
         let addr = listener.local_addr().expect("local addr");

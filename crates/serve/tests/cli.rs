@@ -2,8 +2,8 @@
 //! unknown flag, a flag without its value, a number that does not parse
 //! or a zero count or length exits with status 2 and the usage on
 //! stderr, before any socket is bound or any swarm runs. A run that
-//! cannot read its input exits with status 1 and one line on stderr,
-//! not a panic.
+//! cannot read its input or create its journal exits with status 1 and
+//! one line on stderr, not a panic.
 //!
 //! The `pictor-serve` cases also pass `--replay` of a missing file, so a
 //! binary that ignored the bad flag would fail to read the journal (or
@@ -79,6 +79,23 @@ fn pictor_serve_reports_a_journal_whose_stamps_go_backwards() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("backwards.journal");
     std::fs::write(&path, journal.into_bytes()).expect("write the journal");
     assert_replay_error(&path.to_string_lossy(), "replay");
+}
+
+#[test]
+fn pictor_serve_reports_a_journal_it_cannot_create() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("no-such-dir")
+        .join("x.journal");
+    let out = Command::new(env!("CARGO_BIN_EXE_pictor-serve"))
+        .args(["--addr", "127.0.0.1:0", "--record", &path.to_string_lossy()])
+        .output()
+        .expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("pictor-serve: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stdout.contains("listening"), "{stdout}");
 }
 
 #[test]
